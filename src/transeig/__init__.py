@@ -18,8 +18,7 @@ from .fdcore import (DEFAULT_MESH, Correction, FdError, FdSolution, RhsField,
                      adomian, c2_correction, fd_solve, lambda_correction,
                      rhs_assemble, u_correction)
 from .model import (BranchId, ModelError, NonlinearitySpec, PotentialSpec,
-                    TransmissionProblem, eval_majorant, eval_nonlinearity,
-                    l1_norm, load_problem)
+                    TransmissionProblem, l1_norm, load_problem)
 from .oracle import ShotResult, find_eigenvalue, shoot
 from .quadrature import (GridFunction, PanelFn, PanelMesh, QuadratureError,
                          cumulative_simpson, kernel_convolution,
@@ -40,7 +39,7 @@ __all__ = [
     "branch_point_radius", "c2_correction", "check_matching",
     "convergence_ratio", "convergence_report", "count_interior_zeros",
     "cumulative_simpson", "decay_report", "estimate_radius_nonlinear",
-    "eval_majorant", "eval_nonlinearity", "fd_solve", "find_eigenvalue",
+    "fd_solve", "find_eigenvalue",
     "integrated_residual", "kernel_convolution", "l1_norm",
     "lambda_correction", "load_problem", "log_table", "majorant_sequence",
     "pointwise_residual", "radius_linear", "residual_by_rank",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BranchId, ModelError
+from .model import INTERFACE, BranchId, ModelError
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,11 @@ class MatchingReport:
 
 def check_matching(z: ZeroApproximation, tol: float = 1e-12) -> MatchingReport:
     """Evaluate u1(0), u2(1), [u](1/2), and [u'](1/2) - 1 numerically."""
-    half = 0.5
     return MatchingReport(
         left_boundary=abs(float(z.u1(0.0))),
         right_boundary=abs(float(z.u2(1.0))),
-        continuity=abs(float(z.u2(half)) - float(z.u1(half))),
-        flux_jump=abs((float(z.du2(half)) - float(z.du1(half))) - 1.0),
+        continuity=abs(float(z.u2(INTERFACE)) - float(z.u1(INTERFACE))),
+        flux_jump=abs(float(z.du2(INTERFACE)) - float(z.du1(INTERFACE)) - 1.0),
         tol=tol,
     )
 

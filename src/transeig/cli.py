@@ -87,7 +87,6 @@ def _branch_payload(problem_path: str, family: str, sign: int, n: int,
     branch = BranchId(family=family, n=n, sign=sign)
     sol = fd_solve(problem, branch, rank, mesh)
     reports = residual_by_rank(sol)
-    sol.residual_norms = [r.combined for r in reports]
     conv = convergence_report(l1_norm(problem.potential),
                               problem.nonlinearity, branch, rank)
     lines = ["m,lambda,sup_u1,sup_u2,residual_norm"]
@@ -233,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mesh", type=int, default=DEFAULT_MESH, metavar="M",
                        help="panel mesh size (even)")
         p.add_argument("--tol", type=float, default=1e-10, metavar="REAL",
-                       help="tolerance for auxiliary root finding")
+                       help="oracle root-finding tolerance (validate); "
+                            "solve and sweep only record it")
         p.add_argument("--out", default="out", metavar="DIR",
                        help="output directory")
 

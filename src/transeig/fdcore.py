@@ -20,7 +20,7 @@ from .basis import zero_eigenfunction
 from .model import (BranchId, NonlinearitySpec, PotentialSpec,
                     TransmissionProblem)
 from .quadrature import (GridFunction, PanelFn, PanelMesh, cumulative_simpson,
-                         kernel_convolution, weighted_cumulative)
+                         sine_sweep, weighted_trig_cumulants)
 
 DEFAULT_MESH = 2048
 
@@ -105,7 +105,6 @@ class FdSolution:
     rank: int
     mesh_m: int
     corrections: list[Correction]
-    residual_norms: list[float] | None = None
 
     @property
     def lambda0(self) -> float:
@@ -118,21 +117,16 @@ class FdSolution:
     def lambda_partial(self, k: int) -> float:
         return float(sum(c.lambda_j for c in self.corrections[: k + 1]))
 
+    def _summed(self, piece: str) -> PanelFn:
+        first = getattr(self.corrections[0], piece)
+        return PanelFn(first.mesh, sum(getattr(c, piece).values
+                                       for c in self.corrections))
+
     def u_total(self) -> GridFunction:
-        left = PanelFn(self.corrections[0].u1.mesh,
-                       sum(c.u1.values for c in self.corrections))
-        right = PanelFn(self.corrections[0].u2.mesh,
-                        sum(c.u2.values for c in self.corrections))
-        return GridFunction(left, right)
+        return GridFunction(self._summed("u1"), self._summed("u2"))
 
     def du_total(self) -> tuple[PanelFn, PanelFn]:
-        left = PanelFn(self.corrections[0].du1.mesh,
-                       sum(c.du1.values for c in self.corrections))
-        right = PanelFn(self.corrections[0].du2.mesh,
-                        sum(c.du2.values for c in self.corrections))
-        return left, right
-
-    eigenfunction = u_total
+        return self._summed("du1"), self._summed("du2")
 
     @property
     def sup_u1_by_rank(self) -> list[float]:
@@ -147,6 +141,18 @@ class FdSolution:
             raise FdError(f"cannot truncate rank-{self.rank} solution at {k}")
         return FdSolution(self.problem, self.branch, k, self.mesh_m,
                           self.corrections[: k + 1])
+
+
+def _potential_on_panels(q: PotentialSpec, mesh_left: PanelMesh,
+                         mesh_right: PanelMesh):
+    """Node values of a smooth potential, or (None, None) for the weight."""
+    if not q.is_singular:
+        return (np.asarray(q(mesh_left.nodes), dtype=float),
+                np.asarray(q(mesh_right.nodes), dtype=float))
+    if q.kind != "inverse_sqrt_half":
+        raise FdError("singular potentials are supported only for "
+                      "the built-in interface weight")
+    return None, None
 
 
 def _driving_field(corrections: list[Correction], q_left, q_right,
@@ -164,31 +170,32 @@ def _driving_field(corrections: list[Correction], q_left, q_right,
         lam = corrections[j + 1 - p].lambda_j
         g1 -= lam * corrections[p].u1.values
         g2 -= lam * corrections[p].u2.values
-    weighted1 = weighted2 = None
+    last = corrections[j]
     if q_left is None:
-        weighted1 = corrections[j].u1
-        weighted2 = corrections[j].u2
+        weighted1, weighted2 = last.u1, last.u2
     else:
-        g1 += q_left * corrections[j].u1.values
-        g2 += q_right * corrections[j].u2.values
+        weighted1 = weighted2 = None
+        g1 += q_left * last.u1.values
+        g2 += q_right * last.u2.values
     if not nl.is_empty:
         g1 += adomian(nl, [c.u1.values for c in corrections])
         g2 += adomian(nl, [c.u2.values for c in corrections])
     return g1, g2, weighted1, weighted2
 
 
-class _Engine:
-    """Shared per-solve state: meshes, trig tables, zero-order cumulants."""
+class _Frame:
+    """Trig tables of one frequency on both panels and the rules using them.
 
-    def __init__(self, problem: TransmissionProblem, branch: BranchId,
-                 mesh_m: int = DEFAULT_MESH):
-        if mesh_m % 2 or mesh_m < 4:
-            raise FdError("mesh size must be even and at least 4")
-        self.problem = problem
+    The engine is a frame plus the problem data; the step-level functions
+    build a bare frame for a given right-hand side.
+    """
+
+    def __init__(self, branch: BranchId, lambda0: float, mesh_m: int,
+                 alpha: float | None):
         self.branch = branch
-        self.zero = zero_eigenfunction(branch)
-        self.lambda0 = self.zero.lambda0
-        self.omega = math.sqrt(self.lambda0)
+        self.lambda0 = lambda0
+        self.alpha = alpha
+        self.omega = math.sqrt(lambda0)
         self.mesh_left = PanelMesh("left", mesh_m)
         self.mesh_right = PanelMesh("right", mesh_m)
         xl, xr = self.mesh_left.nodes, self.mesh_right.nodes
@@ -197,28 +204,71 @@ class _Engine:
         self.cos_right, self.sin_right = np.cos(w * xr), np.sin(w * xr)
         self.sin_tail = np.sin(w * (1.0 - xr))
         self.cos_tail = np.cos(w * (1.0 - xr))
+
+    def cumulants(self, g1, g2, weighted1=None, weighted2=None):
+        """Running cos/sin integrals of smooth and interface-weighted parts."""
+        h, w = self.mesh_left.h, self.omega
+        c1 = cumulative_simpson(g1 * self.cos_left, h)
+        s1 = cumulative_simpson(g1 * self.sin_left, h)
+        c2 = cumulative_simpson(g2 * self.cos_right, h)
+        s2 = cumulative_simpson(g2 * self.sin_right, h)
+        if weighted1 is not None:
+            wc1, ws1 = weighted_trig_cumulants(weighted1, self.alpha, w)
+            wc2, ws2 = weighted_trig_cumulants(weighted2, self.alpha, w)
+            c1, s1, c2, s2 = c1 + wc1, s1 + ws1, c2 + wc2, s2 + ws2
+        return c1, s1, c2, s2
+
+    def amplitude(self, cumulants) -> float:
+        """Free amplitude from the cumulants of the final field."""
+        cf1, sf1, cf2, sf2 = (c[-1] for c in cumulants)
+        w = self.omega
+        if self.branch.family == "I":
+            sh, ch = math.sin(w / 2.0), math.cos(w / 2.0)
+            if abs(sh) < 1e-8:
+                raise FdError("family I amplitude rule hit sin(omega/2) = 0; "
+                              "branch data is inconsistent")
+            return (sh * (cf1 + cf2) - ch * (sf1 + sf2)) / (w * sh)
+        return -(cf1 + cf2) / w
+
+    def pieces(self, cumulants, amp: float):
+        """u1, u2, du1, du2 from the cumulants of the final field.
+
+        The right piece sweeps back from x = 1 and adds amp*sin(w*(1 - x)).
+        """
+        cf1, sf1, cf2, sf2 = cumulants
+        w = self.omega
+        u1, du1 = sine_sweep(self.cos_left, self.sin_left, cf1, sf1, w)
+        tail, dtail = sine_sweep(self.cos_right, self.sin_right,
+                                 cf2[-1] - cf2, sf2[-1] - sf2, w)
+        u2 = amp * self.sin_tail - tail
+        du2 = -amp * w * self.cos_tail - dtail
+        return (PanelFn(self.mesh_left, u1), PanelFn(self.mesh_right, u2),
+                PanelFn(self.mesh_left, du1), PanelFn(self.mesh_right, du2))
+
+
+class _Engine(_Frame):
+    """Shared per-solve state: meshes, trig tables, zero-order cumulants."""
+
+    def __init__(self, problem: TransmissionProblem, branch: BranchId,
+                 mesh_m: int = DEFAULT_MESH):
+        if mesh_m % 2 or mesh_m < 4:
+            raise FdError("mesh size must be even and at least 4")
+        self.zero = zero_eigenfunction(branch)
+        super().__init__(branch, self.zero.lambda0, mesh_m,
+                         problem.potential.singular_alpha)
+        self.problem = problem
+        xl, xr = self.mesh_left.nodes, self.mesh_right.nodes
         self.u1_zero = PanelFn(self.mesh_left, self.zero.u1(xl))
         self.u2_zero = PanelFn(self.mesh_right, self.zero.u2(xr))
-        h = self.mesh_left.h
-        self.cu0_left = cumulative_simpson(self.u1_zero.values * self.cos_left, h)
-        self.su0_left = cumulative_simpson(self.u1_zero.values * self.sin_left, h)
-        self.cu0_right = cumulative_simpson(self.u2_zero.values * self.cos_right, h)
-        self.su0_right = cumulative_simpson(self.u2_zero.values * self.sin_right, h)
-        self.denominator = self._weight_total(
-            self.cu0_left[-1], self.su0_left[-1],
-            self.cu0_right[-1], self.su0_right[-1])
-        q = problem.potential
-        if q.is_singular:
-            if q.kind != "inverse_sqrt_half":
-                raise FdError("singular potentials are supported only for "
-                              "the built-in interface weight")
-            self.q_left = self.q_right = None
-        else:
-            self.q_left = np.asarray(q(xl), dtype=float)
-            self.q_right = np.asarray(q(xr), dtype=float)
+        self.zero_cumulants = self.cumulants(self.u1_zero.values,
+                                             self.u2_zero.values)
+        self.denominator = self._weight_total(self.zero_cumulants)
+        self.q_left, self.q_right = _potential_on_panels(
+            problem.potential, self.mesh_left, self.mesh_right)
 
-    def _weight_total(self, c_left, s_left, c_right, s_right) -> float:
+    def _weight_total(self, cumulants) -> float:
         """Combine full-panel cumulants against the family weight function."""
+        c_left, s_left, c_right, s_right = (c[-1] for c in cumulants)
         if self.branch.family == "I":
             sw, cw = math.sin(self.omega), math.cos(self.omega)
             return sw * (c_left + c_right) - cw * (s_left + s_right)
@@ -235,94 +285,41 @@ class _Engine:
             c2_j=self.zero.c2_zero,
         )
 
-    def _cumulants(self, g1, g2, weighted1, weighted2):
-        h = self.mesh_left.h
-        w = self.omega
-        alpha = self.problem.potential.singular_alpha
-        c1 = cumulative_simpson(g1 * self.cos_left, h)
-        s1 = cumulative_simpson(g1 * self.sin_left, h)
-        c2 = cumulative_simpson(g2 * self.cos_right, h)
-        s2 = cumulative_simpson(g2 * self.sin_right, h)
-        if weighted1 is not None:
-            c1 = c1 + weighted_cumulative(weighted1, alpha=alpha,
-                                          extra=lambda s: np.cos(w * s))
-            s1 = s1 + weighted_cumulative(weighted1, alpha=alpha,
-                                          extra=lambda s: np.sin(w * s))
-            c2 = c2 + weighted_cumulative(weighted2, alpha=alpha,
-                                          extra=lambda s: np.cos(w * s))
-            s2 = s2 + weighted_cumulative(weighted2, alpha=alpha,
-                                          extra=lambda s: np.sin(w * s))
-        return c1, s1, c2, s2
-
-    def lambda_next(self, corrections: list[Correction],
-                    cumulants=None) -> float:
-        if cumulants is None:
-            field = _driving_field(corrections, self.q_left, self.q_right,
-                                   self.problem.nonlinearity)
-            cumulants = self._cumulants(*field)
-        c1, s1, c2, s2 = cumulants
-        numerator = self._weight_total(c1[-1], s1[-1], c2[-1], s2[-1])
-        return numerator / self.denominator
-
-    def c2_next(self, cf1, sf1, cf2, sf2) -> float:
-        """Free amplitude from the full-panel cumulants of the final field."""
-        w = self.omega
-        if self.branch.family == "I":
-            sh, ch = math.sin(w / 2.0), math.cos(w / 2.0)
-            if abs(sh) < 1e-8:
-                raise FdError("family I amplitude rule hit sin(omega/2) = 0; "
-                              "branch data is inconsistent")
-            return (sh * (cf1 + cf2) - ch * (sf1 + sf2)) / (w * sh)
-        return -(cf1 + cf2) / w
-
     def step(self, corrections: list[Correction]) -> Correction:
-        g1, g2, weighted1, weighted2 = _driving_field(
-            corrections, self.q_left, self.q_right,
-            self.problem.nonlinearity)
-        cumulants = self._cumulants(g1, g2, weighted1, weighted2)
-        lam = self.lambda_next(corrections, cumulants)
-        c1, s1, c2, s2 = cumulants
-        cf1 = c1 - lam * self.cu0_left
-        sf1 = s1 - lam * self.su0_left
-        cf2 = c2 - lam * self.cu0_right
-        sf2 = s2 - lam * self.su0_right
-        amp = self.c2_next(cf1[-1], sf1[-1], cf2[-1], sf2[-1])
-        w = self.omega
-        u1 = (self.sin_left * cf1 - self.cos_left * sf1) / w
-        du1 = self.cos_left * cf1 + self.sin_left * sf1
-        c_tail = cf2[-1] - cf2
-        s_tail = sf2[-1] - sf2
-        u2 = amp * self.sin_tail - (self.sin_right * c_tail
-                                    - self.cos_right * s_tail) / w
-        du2 = -amp * w * self.cos_tail - (self.cos_right * c_tail
-                                          + self.sin_right * s_tail)
+        field = _driving_field(corrections, self.q_left, self.q_right,
+                               self.problem.nonlinearity)
+        cumulants = self.cumulants(*field)
+        lam = self._weight_total(cumulants) / self.denominator
+        # the final field is the driving field minus lam times the zero
+        # approximation, so its cumulants follow by linearity
+        final = tuple(c - lam * c0
+                      for c, c0 in zip(cumulants, self.zero_cumulants))
+        amp = self.amplitude(final)
+        u1, u2, du1, du2 = self.pieces(final, amp)
         if self.q_left is None:
             rhs1 = rhs2 = None
         else:
-            rhs1 = g1 - lam * self.u1_zero.values
-            rhs2 = g2 - lam * self.u2_zero.values
-        return Correction(
-            j=len(corrections), lambda_j=lam,
-            u1=PanelFn(self.mesh_left, u1),
-            u2=PanelFn(self.mesh_right, u2),
-            du1=PanelFn(self.mesh_left, du1),
-            du2=PanelFn(self.mesh_right, du2),
-            c2_j=amp, rhs1=rhs1, rhs2=rhs2,
-        )
+            rhs1 = field[0] - lam * self.u1_zero.values
+            rhs2 = field[1] - lam * self.u2_zero.values
+        return Correction(j=len(corrections), lambda_j=lam, u1=u1, u2=u2,
+                          du1=du1, du2=du2, c2_j=amp, rhs1=rhs1, rhs2=rhs2)
 
 
-def _engine_for(branch: BranchId, corrections: list[Correction],
-                q: PotentialSpec, n: NonlinearitySpec) -> _Engine:
-    if not corrections:
-        raise FdError("need at least the zero-order correction")
-    return _Engine(TransmissionProblem(q, n), branch,
-                   corrections[0].u1.mesh.m)
+def _rhs_frame(branch: BranchId, rhs: RhsField):
+    """Frame for the right-hand side plus the cumulants of its field."""
+    frame = _Frame(branch, rhs.lambda0, rhs.smooth1.mesh.m, rhs.alpha)
+    return frame, frame.cumulants(rhs.smooth1.values, rhs.smooth2.values,
+                                  rhs.weighted1, rhs.weighted2)
 
 
 def lambda_correction(branch: BranchId, corrections: list[Correction],
                       q: PotentialSpec, n: NonlinearitySpec) -> float:
     """Next eigenvalue term from the corrections computed so far."""
-    return _engine_for(branch, corrections, q, n).lambda_next(corrections)
+    if not corrections:
+        raise FdError("need at least the zero-order correction")
+    engine = _Engine(TransmissionProblem(q, n), branch,
+                     corrections[0].u1.mesh.m)
+    return engine.step(corrections).lambda_j
 
 
 def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
@@ -332,13 +329,8 @@ def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
         raise FdError("rhs_assemble expects corrections 0..j")
     zero = corrections[0]
     mesh_left, mesh_right = zero.u1.mesh, zero.u2.mesh
-    if q.is_singular:
-        q_left = q_right = None
-    else:
-        q_left = np.asarray(q(mesh_left.nodes), dtype=float)
-        q_right = np.asarray(q(mesh_right.nodes), dtype=float)
-    g1, g2, weighted1, weighted2 = _driving_field(corrections, q_left,
-                                                  q_right, n)
+    g1, g2, weighted1, weighted2 = _driving_field(
+        corrections, *_potential_on_panels(q, mesh_left, mesh_right), n)
     return RhsField(
         lambda0=zero.lambda_j,
         smooth1=PanelFn(mesh_left, g1 - lambda_next * zero.u1.values),
@@ -350,42 +342,15 @@ def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
 
 def c2_correction(branch: BranchId, rhs: RhsField) -> float:
     """Right-panel amplitude for the assembled right-hand side."""
-    w = math.sqrt(rhs.lambda0)
-    h = rhs.smooth1.mesh.h
-    xl, xr = rhs.smooth1.mesh.nodes, rhs.smooth2.mesh.nodes
-    cf1 = cumulative_simpson(rhs.smooth1.values * np.cos(w * xl), h)[-1]
-    sf1 = cumulative_simpson(rhs.smooth1.values * np.sin(w * xl), h)[-1]
-    cf2 = cumulative_simpson(rhs.smooth2.values * np.cos(w * xr), h)[-1]
-    sf2 = cumulative_simpson(rhs.smooth2.values * np.sin(w * xr), h)[-1]
-    if rhs.weighted1 is not None:
-        cf1 += weighted_cumulative(rhs.weighted1, alpha=rhs.alpha,
-                                   extra=lambda s: np.cos(w * s))[-1]
-        sf1 += weighted_cumulative(rhs.weighted1, alpha=rhs.alpha,
-                                   extra=lambda s: np.sin(w * s))[-1]
-        cf2 += weighted_cumulative(rhs.weighted2, alpha=rhs.alpha,
-                                   extra=lambda s: np.cos(w * s))[-1]
-        sf2 += weighted_cumulative(rhs.weighted2, alpha=rhs.alpha,
-                                   extra=lambda s: np.sin(w * s))[-1]
-    if branch.family == "I":
-        sh, ch = math.sin(w / 2.0), math.cos(w / 2.0)
-        if abs(sh) < 1e-8:
-            raise FdError("family I amplitude rule hit sin(omega/2) = 0; "
-                          "branch data is inconsistent")
-        return (sh * (cf1 + cf2) - ch * (sf1 + sf2)) / (w * sh)
-    return -(cf1 + cf2) / w
+    frame, cumulants = _rhs_frame(branch, rhs)
+    return frame.amplitude(cumulants)
 
 
 def u_correction(branch: BranchId, rhs: RhsField,
                  c2: float) -> tuple[PanelFn, PanelFn]:
     """Eigenfunction correction pieces for the assembled right-hand side."""
-    w = math.sqrt(rhs.lambda0)
-    u1 = kernel_convolution(rhs.lambda0, rhs.smooth1, "from-left",
-                            weighted=rhs.weighted1, alpha=rhs.alpha)
-    tail = kernel_convolution(rhs.lambda0, rhs.smooth2, "from-right",
-                              weighted=rhs.weighted2, alpha=rhs.alpha)
-    xr = rhs.smooth2.mesh.nodes
-    u2 = PanelFn(rhs.smooth2.mesh,
-                 c2 * np.sin(w * (1.0 - xr)) - tail.values)
+    frame, cumulants = _rhs_frame(branch, rhs)
+    u1, u2, _, _ = frame.pieces(cumulants, c2)
     return u1, u2
 
 

@@ -50,6 +50,8 @@ class PotentialSpec:
             raise ModelError(f"unknown potential kind: {self.kind!r}")
         if self.kind == "tabulated" and self.evaluator is None:
             raise ModelError("tabulated potential needs an evaluator")
+        if self.kind == "polynomial" and not self.coeffs:
+            raise ModelError("polynomial potential needs a coefficient")
         if self.singular_alpha is not None and not -1.0 < self.singular_alpha < 0.0:
             raise ModelError("singular exponent must lie in (-1, 0)")
 
@@ -143,13 +145,22 @@ class NonlinearitySpec:
         return len(self.coeffs)
 
     def __call__(self, u):
-        return eval_nonlinearity(self, u)
+        """N(u) for scalar or array u."""
+        u = np.asarray(u, dtype=float)
+        out = np.zeros_like(u)
+        power = u.copy()
+        for a in self.coeffs:
+            if a != 0.0:
+                out = out + a * power
+            power = power * u
+        return out if out.ndim else float(out)
 
     def majorant_spec(self) -> "NonlinearitySpec":
         return NonlinearitySpec(tuple(abs(a) for a in self.coeffs))
 
     def majorant(self, u):
-        return eval_majorant(self, u)
+        """Majorant series at u >= 0 (absolute coefficients)."""
+        return self.majorant_spec()(u)
 
     def majorant_derivative(self, u):
         """d/du of the majorant series, sum i*|a_i|*u**(i-1)."""
@@ -159,27 +170,6 @@ class NonlinearitySpec:
             if a != 0.0:
                 out = out + i * abs(a) * u ** (i - 1)
         return out if out.ndim else float(out)
-
-
-def _eval_series(coeffs, u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    power = u.copy()
-    for a in coeffs:
-        if a != 0.0:
-            out = out + a * power
-        power = power * u
-    return out if out.ndim else float(out)
-
-
-def eval_nonlinearity(n: NonlinearitySpec, u):
-    """N(u) for scalar or array u."""
-    return _eval_series(n.coeffs, u)
-
-
-def eval_majorant(n: NonlinearitySpec, u):
-    """Majorant series at u >= 0 (absolute coefficients)."""
-    return _eval_series(tuple(abs(a) for a in n.coeffs), u)
 
 
 @dataclass(frozen=True)
@@ -233,22 +223,35 @@ class TransmissionProblem:
         return self.potential.is_singular
 
 
+def _json(value, kind: type, what: str):
+    """value itself if it is a JSON object (dict) or array of numbers (list)."""
+    if not isinstance(value, kind) or kind is list and not all(
+            type(v) in (int, float) for v in value):
+        name = "object" if kind is dict else "array of numbers"
+        raise ModelError(f"{what} must be a JSON {name}")
+    return value
+
+
 def _potential_from_dict(data: dict) -> PotentialSpec:
-    kind = data.get("kind")
+    kind = _json(data, dict, "potential record").get("kind")
     if kind == "polynomial":
-        return PotentialSpec.polynomial(data.get("coeffs", [0.0]))
+        return PotentialSpec.polynomial(
+            _json(data.get("coeffs", [0.0]), list, "potential coeffs"))
     if kind == "inverse_sqrt_half":
         return PotentialSpec.inverse_sqrt_half()
     raise ModelError(f"unsupported potential kind in problem file: {kind!r}")
 
 
 def _branch_from_dict(data: dict) -> BranchId:
+    _json(data, dict, "branch record")
     try:
         family = data["family"]
         n = int(data["n"])
+        sign = int(data.get("sign", 1))
     except KeyError as exc:
         raise ModelError(f"branch record is missing {exc}") from exc
-    sign = int(data.get("sign", 1))
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"branch n and sign must be integers: {exc}") from exc
     return BranchId(family=family, n=n, sign=sign)
 
 
@@ -261,13 +264,14 @@ def load_problem(path) -> tuple[TransmissionProblem, BranchId | None]:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read problem file {path}: {exc}") from exc
+    _json(data, dict, "problem file")
     if "potential" not in data:
         raise ModelError("problem file lacks a potential record")
     potential = _potential_from_dict(data["potential"])
     nl = data.get("nonlinearity")
-    if nl is None:
-        nonlinearity = NonlinearitySpec.empty()
-    else:
-        nonlinearity = NonlinearitySpec(tuple(nl.get("coeffs_from_degree_1", ())))
+    nl = {} if nl is None else _json(nl, dict, "nonlinearity record")
+    coeffs = _json(nl.get("coeffs_from_degree_1", []), list,
+                   "nonlinearity coefficients")
+    nonlinearity = NonlinearitySpec(tuple(coeffs))
     branch = _branch_from_dict(data["branch"]) if "branch" in data else None
     return TransmissionProblem(potential, nonlinearity), branch

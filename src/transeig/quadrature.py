@@ -8,13 +8,13 @@ substitution t = sqrt(|1/2 - x|) and integrates a smooth function of t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 from numpy.typing import NDArray
 
-INTERFACE = 0.5
+from .model import INTERFACE
 
 
 class QuadratureError(ValueError):
@@ -119,9 +119,6 @@ class PanelFn:
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def cumulative(self) -> "PanelFn":
-        return PanelFn(self.mesh, cumulative_simpson(self.values, self.mesh.h))
-
 
 @dataclass
 class GridFunction:
@@ -144,35 +141,22 @@ class GridFunction:
     def sup_norm(self) -> float:
         return max(self.left.sup, self.right.sup)
 
-    @property
-    def panel_norms(self) -> tuple[float, float]:
-        return self.left.sup, self.right.sup
 
+def weighted_cumulative(g: PanelFn, alpha: float,
+                        extra=None) -> NDArray[np.float64]:
+    """Running integral of |1/2 - s|**alpha * extra(s) * g(s) from the start.
 
-def weighted_cumulative(g: PanelFn, alpha: float | None = None,
-                        q=None, extra=None) -> NDArray[np.float64]:
-    """Running integral of q(s)*extra(s)*g(s) from the panel's left endpoint.
-
-    With alpha None the weight q must be a smooth callable and the product
-    is integrated directly. With alpha == -1/2 the built-in interface weight
-    |1/2 - s|**-0.5 is removed by t = sqrt(|1/2 - s|): the transformed
-    integrand extra(x(t))*g(x(t)) is smooth, integrated on a uniform t-mesh,
-    and mapped back to the panel nodes by cubic interpolation of the
-    running t-integral. The optional extra factor is evaluated exactly at
-    the transformed points, so only g itself is interpolated.
+    Only alpha == -1/2 is supported. The interface weight is removed by
+    t = sqrt(|1/2 - s|): the transformed integrand extra(x(t))*g(x(t)) is
+    smooth, integrated on a uniform t-mesh, and mapped back to the panel
+    nodes by cubic interpolation of the running t-integral. The optional
+    extra factor is evaluated exactly at the transformed points, so only g
+    itself is interpolated.
     """
+    if alpha is None or abs(alpha + 0.5) > 1e-12:
+        raise QuadratureError(f"unsupported weight exponent: {alpha}")
     mesh = g.mesh
     nodes = mesh.nodes
-    if alpha is None:
-        if q is None:
-            raise QuadratureError("smooth path needs the weight callable q")
-        vals = np.asarray(q(nodes), dtype=float) * g.values
-        if extra is not None:
-            vals = vals * np.asarray(extra(nodes), dtype=float)
-        return cumulative_simpson(vals, mesh.h)
-    if abs(alpha + 0.5) > 1e-12:
-        raise QuadratureError(f"unsupported weight exponent: {alpha}")
-
     t_top = sqrt(mesh.b - mesh.a)
     t = np.linspace(0.0, t_top, mesh.m + 1)
     ht = t_top / mesh.m
@@ -184,17 +168,31 @@ def weighted_cumulative(g: PanelFn, alpha: float | None = None,
     if mesh.panel == "left":
         tau = np.sqrt(np.maximum(INTERFACE - nodes, 0.0))
         out = 2.0 * (big_psi[-1] - interp_uniform(0.0, ht, big_psi, tau))
-        out[0] = 0.0
     else:
         tau = np.sqrt(np.maximum(nodes - INTERFACE, 0.0))
         out = 2.0 * interp_uniform(0.0, ht, big_psi, tau)
-        out[0] = 0.0
-    return np.asarray(out, dtype=float)
+    out[0] = 0.0
+    return out
+
+
+def weighted_trig_cumulants(g: PanelFn, alpha: float, w: float):
+    """Weighted running integrals of g(s)*cos(w*s) and g(s)*sin(w*s)."""
+    return (weighted_cumulative(g, alpha, extra=lambda s: np.cos(w * s)),
+            weighted_cumulative(g, alpha, extra=lambda s: np.sin(w * s)))
+
+
+def sine_sweep(cosx, sinx, c_part, s_part, w: float):
+    """Sine-kernel convolution and its x-derivative from cos/sin cumulants.
+
+    c_part and s_part integrate f(s)*cos(w*s) and f(s)*sin(w*s) over the
+    sweep range; cosx and sinx are cos(w*x) and sin(w*x).
+    """
+    return (sinx * c_part - cosx * s_part) / w, cosx * c_part + sinx * s_part
 
 
 def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
                        weighted: PanelFn | None = None,
-                       alpha: float | None = None, q=None,
+                       alpha: float | None = None,
                        with_derivative: bool = False):
     """Convolve the panel field with sin(w*(x - s))/w, w = sqrt(lambda0).
 
@@ -202,7 +200,7 @@ def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
     integrates from x to the panel end. The kernel splits into products of
     cos(w*s) and sin(w*s) with trigonometric factors of x, so the whole
     sweep costs two running integrals. A weighted component adds the
-    singular part q(s)*weighted(s) of the integrand through
+    singular part |1/2 - s|**alpha * weighted(s) of the integrand through
     weighted_cumulative. With with_derivative the analytic x-derivative of
     the convolution (cosine kernel) is returned alongside.
     """
@@ -218,16 +216,11 @@ def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
     c_run = cumulative_simpson(f.values * cosx, mesh.h)
     s_run = cumulative_simpson(f.values * sinx, mesh.h)
     if weighted is not None:
-        c_run = c_run + weighted_cumulative(
-            weighted, alpha=alpha, q=q, extra=lambda s: np.cos(w * s))
-        s_run = s_run + weighted_cumulative(
-            weighted, alpha=alpha, q=q, extra=lambda s: np.sin(w * s))
-    if direction == "from-left":
-        c_part, s_part = c_run, s_run
-    else:
-        c_part, s_part = c_run[-1] - c_run, s_run[-1] - s_run
-    g = PanelFn(mesh, (sinx * c_part - cosx * s_part) / w)
-    if not with_derivative:
-        return g
-    dg = PanelFn(mesh, cosx * c_part + sinx * s_part)
-    return g, dg
+        c_weighted, s_weighted = weighted_trig_cumulants(weighted, alpha, w)
+        c_run, s_run = c_run + c_weighted, s_run + s_weighted
+    if direction == "from-right":
+        c_run, s_run = c_run[-1] - c_run, s_run[-1] - s_run
+    g, dg = sine_sweep(cosx, sinx, c_run, s_run, w)
+    if with_derivative:
+        return PanelFn(mesh, g), PanelFn(mesh, dg)
+    return PanelFn(mesh, g)

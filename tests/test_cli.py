@@ -133,6 +133,21 @@ def test_missing_problem_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record", [
+    {"potential": 5},
+    {"potential": {"kind": "polynomial"}, "nonlinearity": 5},
+    {"potential": {"kind": "polynomial"}, "branch": "I"},
+    {"potential": {"kind": "polynomial", "coeffs": []}},
+], ids=["potential", "nonlinearity", "branch", "empty-coeffs"])
+def test_malformed_problem_file_exits_2(tmp_path, capsys, record):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    code = cli.main(["solve", "--problem", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invalid_branch_flags(tmp_path, capsys):
     code = cli.main(["solve", "--problem", str(EX1), "--family", "II",
                      "--n", "0", "--out", str(tmp_path / "out")])

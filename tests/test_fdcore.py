@@ -1,15 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from transeig.basis import zero_eigenvalue
+from transeig.basis import ascending_branches, zero_eigenvalue
 from transeig.convergence import branch_constants
 from transeig.fdcore import (DEFAULT_MESH, FdError, RhsField, _Engine,
                              adomian, c2_correction, fd_solve,
                              lambda_correction, rhs_assemble, u_correction)
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
-                            TransmissionProblem)
+                            TransmissionProblem, load_problem)
 from transeig.quadrature import PanelFn, PanelMesh
 
 EX1 = TransmissionProblem(PotentialSpec.polynomial([0.0, 1.0, 3.0]),
@@ -17,6 +20,7 @@ EX1 = TransmissionProblem(PotentialSpec.polynomial([0.0, 1.0, 3.0]),
 EX2 = TransmissionProblem(PotentialSpec.inverse_sqrt_half(),
                           NonlinearitySpec.power(2))
 B0 = BranchId("I", 0, 1)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def series_coefficient_by_sampling(n, u_values, j):
@@ -179,12 +183,12 @@ def test_solution_evaluation_helpers():
     assert len(sol.sup_u1_by_rank) == 3
 
 
-@pytest.mark.parametrize("branch", [BranchId("I", 0, 1), BranchId("II", 1)])
-def test_standalone_ops_reproduce_the_engine(branch):
-    q, nl = EX1.potential, EX1.nonlinearity
-    engine = _Engine(EX1, branch, 128)
+def assert_views_match_engine(problem, branch, mesh, rank):
+    """The step-level functions reproduce each engine step to 1e-12."""
+    q, nl = problem.potential, problem.nonlinearity
+    engine = _Engine(problem, branch, mesh)
     corrections = [engine.zero_correction()]
-    for _ in range(3):
+    for _ in range(rank):
         j = len(corrections) - 1
         lam = lambda_correction(branch, corrections, q, nl)
         rhs = rhs_assemble(j, corrections, lam, q, nl)
@@ -196,6 +200,29 @@ def test_standalone_ops_reproduce_the_engine(branch):
         assert np.max(np.abs(u1.values - step.u1.values)) < 1e-12
         assert np.max(np.abs(u2.values - step.u2.values)) < 1e-12
         corrections.append(step)
+
+
+# the ids of the smooth cases predate the singular ones
+@pytest.mark.parametrize("name,branch", [
+    pytest.param("example1.json", BranchId("I", 0, 1), id="branch0"),
+    pytest.param("example1.json", BranchId("II", 1), id="branch1"),
+    pytest.param("example2.json", BranchId("I", 0, 1),
+                 id="example2-branch0"),
+    pytest.param("example2.json", BranchId("II", 1), id="example2-branch1"),
+])
+def test_standalone_ops_reproduce_the_engine(name, branch):
+    problem, _ = load_problem(PROBLEMS / name)
+    assert_views_match_engine(problem, branch, 128, 3)
+
+
+@given(coeffs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+       index=st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_standalone_ops_reproduce_the_engine_for_random_potentials(
+        coeffs, index):
+    problem = TransmissionProblem(PotentialSpec.polynomial(coeffs),
+                                  NonlinearitySpec.power(2))
+    assert_views_match_engine(problem, ascending_branches(4)[index], 64, 2)
 
 
 def test_rhs_assemble_index_check():

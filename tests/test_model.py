@@ -144,6 +144,33 @@ def test_load_problem_bad_kind(tmp_path):
         load_problem(path)
 
 
+@pytest.mark.parametrize("record", [
+    {"potential": 5},
+    {"potential": {"kind": "polynomial"}, "nonlinearity": 5},
+    {"potential": {"kind": "polynomial"}, "branch": "I"},
+    {"potential": {"kind": "polynomial", "coeffs": []}},
+    {"potential": {"kind": "polynomial", "coeffs": 5}},
+    {"potential": {"kind": "polynomial", "coeffs": [None]}},
+    {"potential": {"kind": "polynomial"},
+     "nonlinearity": {"coeffs_from_degree_1": 2.0}},
+    {"potential": {"kind": "polynomial"},
+     "nonlinearity": {"coeffs_from_degree_1": ["u"]}},
+    {"potential": {"kind": "polynomial"}, "branch": {"family": "I", "n": None}},
+    {"potential": {"kind": "polynomial"},
+     "branch": {"family": "I", "n": 0, "sign": "-"}},
+    [{"potential": {"kind": "polynomial"}}],
+    5,
+], ids=["potential", "nonlinearity", "branch", "empty-coeffs",
+        "scalar-coeffs", "null-coeff", "scalar-nonlinearity-coeffs",
+        "string-nonlinearity-coeff", "null-n", "string-sign", "list",
+        "number"])
+def test_load_problem_rejects_malformed_records(tmp_path, record):
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ModelError):
+        load_problem(path)
+
+
 def test_shipped_problem_files():
     p1, b1 = load_problem("problems/example1.json")
     assert b1.tag == "I_plus_0"

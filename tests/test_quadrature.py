@@ -163,23 +163,6 @@ def test_weighted_rule_rejects_other_exponents():
         weighted_cumulative(g, alpha=-0.25)
 
 
-def test_weighted_rule_smooth_path_needs_weight():
-    mesh = PanelMesh("left", 16)
-    g = PanelFn.zeros(mesh)
-    with pytest.raises(QuadratureError):
-        weighted_cumulative(g)
-
-
-def test_smooth_weighted_path_matches_direct_product():
-    mesh = PanelMesh("left", 32)
-    g = PanelFn.from_callable(mesh, lambda x: x + 1.0)
-    running = weighted_cumulative(g, q=lambda x: x * x,
-                                  extra=lambda x: np.cos(x))
-    direct = cumulative_simpson(mesh.nodes ** 2 * (mesh.nodes + 1.0)
-                                * np.cos(mesh.nodes), mesh.h)
-    assert np.max(np.abs(running - direct)) < 1e-15
-
-
 def test_kernel_constant_forcing():
     lam0 = 7.3
     w = math.sqrt(lam0)
