@@ -74,8 +74,6 @@ class MajorantState:
     scaled: np.ndarray
     scaled_mu: np.ndarray
     gamma: float
-    a: float | None = None
-    b: float | None = None
     overflowed: bool = False
     ratio_interval: tuple[float, float] | None = None
 
@@ -116,8 +114,7 @@ class MajorantState:
 
 
 def majorant_sequence(q_norm: float, nbar: NonlinearitySpec | None,
-                      terms: int, branch: BranchId | None = None,
-                      ) -> MajorantState:
+                      terms: int) -> MajorantState:
     """Compute the dominating sequences up to index `terms`.
 
     nbar supplies the nonlinearity whose majorant (absolute coefficients)
@@ -157,14 +154,11 @@ def majorant_sequence(q_norm: float, nbar: NonlinearitySpec | None,
             mu[:j + 2] *= powers
             gamma *= sigma
             overflowed = True
-    a = b = None
-    if branch is not None:
-        a, b = branch_constants(branch)
     return MajorantState(q_norm=q_norm,
                          nbar=nbar if nbar is not None
                          else NonlinearitySpec.empty(),
                          terms=terms, scaled=w, scaled_mu=mu, gamma=gamma,
-                         a=a, b=b, overflowed=overflowed)
+                         overflowed=overflowed)
 
 
 def estimate_radius_nonlinear(state: MajorantState,
@@ -292,7 +286,7 @@ def convergence_report(q_norm: float, nbar: NonlinearitySpec | None,
         radius = radius_linear(q_norm)
         method = "closed-form"
     else:
-        state = majorant_sequence(q_norm, nbar, max(terms, 10), branch)
+        state = majorant_sequence(q_norm, nbar, max(terms, 10))
         radius = estimate_radius_nonlinear(state)
         interval = state.ratio_interval
         method = "ratio-test"

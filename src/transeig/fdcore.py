@@ -68,7 +68,6 @@ def _truncated_product(p, s):
 class Correction:
     """One term of the expansion: eigenvalue, both panel pieces, amplitude."""
 
-    j: int
     lambda_j: float
     u1: PanelFn
     u2: PanelFn
@@ -93,7 +92,6 @@ class RhsField:
     smooth2: PanelFn
     weighted1: PanelFn | None = None
     weighted2: PanelFn | None = None
-    alpha: float | None = None
 
 
 @dataclass
@@ -128,14 +126,6 @@ class FdSolution:
     def du_total(self) -> tuple[PanelFn, PanelFn]:
         return self._summed("du1"), self._summed("du2")
 
-    @property
-    def sup_u1_by_rank(self) -> list[float]:
-        return [c.u1.sup for c in self.corrections]
-
-    @property
-    def sup_u2_by_rank(self) -> list[float]:
-        return [c.u2.sup for c in self.corrections]
-
     def truncate(self, k: int) -> "FdSolution":
         if not 0 <= k <= self.rank:
             raise FdError(f"cannot truncate rank-{self.rank} solution at {k}")
@@ -146,13 +136,10 @@ class FdSolution:
 def _potential_on_panels(q: PotentialSpec, mesh_left: PanelMesh,
                          mesh_right: PanelMesh):
     """Node values of a smooth potential, or (None, None) for the weight."""
-    if not q.is_singular:
-        return (np.asarray(q(mesh_left.nodes), dtype=float),
-                np.asarray(q(mesh_right.nodes), dtype=float))
-    if q.kind != "inverse_sqrt_half":
-        raise FdError("singular potentials are supported only for "
-                      "the built-in interface weight")
-    return None, None
+    if q.is_singular:
+        return None, None
+    return (np.asarray(q(mesh_left.nodes), dtype=float),
+            np.asarray(q(mesh_right.nodes), dtype=float))
 
 
 def _driving_field(corrections: list[Correction], q_left, q_right,
@@ -190,11 +177,9 @@ class _Frame:
     build a bare frame for a given right-hand side.
     """
 
-    def __init__(self, branch: BranchId, lambda0: float, mesh_m: int,
-                 alpha: float | None):
+    def __init__(self, branch: BranchId, lambda0: float, mesh_m: int):
         self.branch = branch
         self.lambda0 = lambda0
-        self.alpha = alpha
         self.omega = math.sqrt(lambda0)
         self.mesh_left = PanelMesh("left", mesh_m)
         self.mesh_right = PanelMesh("right", mesh_m)
@@ -213,8 +198,8 @@ class _Frame:
         c2 = cumulative_simpson(g2 * self.cos_right, h)
         s2 = cumulative_simpson(g2 * self.sin_right, h)
         if weighted1 is not None:
-            wc1, ws1 = weighted_trig_cumulants(weighted1, self.alpha, w)
-            wc2, ws2 = weighted_trig_cumulants(weighted2, self.alpha, w)
+            wc1, ws1 = weighted_trig_cumulants(weighted1, w)
+            wc2, ws2 = weighted_trig_cumulants(weighted2, w)
             c1, s1, c2, s2 = c1 + wc1, s1 + ws1, c2 + wc2, s2 + ws2
         return c1, s1, c2, s2
 
@@ -254,8 +239,7 @@ class _Engine(_Frame):
         if mesh_m % 2 or mesh_m < 4:
             raise FdError("mesh size must be even and at least 4")
         self.zero = zero_eigenfunction(branch)
-        super().__init__(branch, self.zero.lambda0, mesh_m,
-                         problem.potential.singular_alpha)
+        super().__init__(branch, self.zero.lambda0, mesh_m)
         self.problem = problem
         xl, xr = self.mesh_left.nodes, self.mesh_right.nodes
         self.u1_zero = PanelFn(self.mesh_left, self.zero.u1(xl))
@@ -277,7 +261,7 @@ class _Engine(_Frame):
     def zero_correction(self) -> Correction:
         xl, xr = self.mesh_left.nodes, self.mesh_right.nodes
         return Correction(
-            j=0, lambda_j=self.lambda0,
+            lambda_j=self.lambda0,
             u1=self.u1_zero,
             u2=self.u2_zero,
             du1=PanelFn(self.mesh_left, self.zero.du1(xl)),
@@ -301,13 +285,13 @@ class _Engine(_Frame):
         else:
             rhs1 = field[0] - lam * self.u1_zero.values
             rhs2 = field[1] - lam * self.u2_zero.values
-        return Correction(j=len(corrections), lambda_j=lam, u1=u1, u2=u2,
-                          du1=du1, du2=du2, c2_j=amp, rhs1=rhs1, rhs2=rhs2)
+        return Correction(lambda_j=lam, u1=u1, u2=u2, du1=du1, du2=du2,
+                          c2_j=amp, rhs1=rhs1, rhs2=rhs2)
 
 
 def _rhs_frame(branch: BranchId, rhs: RhsField):
     """Frame for the right-hand side plus the cumulants of its field."""
-    frame = _Frame(branch, rhs.lambda0, rhs.smooth1.mesh.m, rhs.alpha)
+    frame = _Frame(branch, rhs.lambda0, rhs.smooth1.mesh.m)
     return frame, frame.cumulants(rhs.smooth1.values, rhs.smooth2.values,
                                   rhs.weighted1, rhs.weighted2)
 
@@ -336,7 +320,6 @@ def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
         smooth1=PanelFn(mesh_left, g1 - lambda_next * zero.u1.values),
         smooth2=PanelFn(mesh_right, g2 - lambda_next * zero.u2.values),
         weighted1=weighted1, weighted2=weighted2,
-        alpha=q.singular_alpha,
     )
 
 

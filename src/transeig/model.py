@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -35,15 +36,15 @@ class PotentialSpec:
 
     kind is one of "polynomial" (coefficients c0..cd, low degree first),
     "inverse_sqrt_half" (q(x) = |1/2 - x|**-0.5), or "tabulated" (arbitrary
-    evaluator supplied by the caller). A non-None singular_alpha declares an
-    algebraic singularity |1/2 - x|**alpha at the interface.
+    evaluator supplied by the caller). The interface weight is the one
+    singular potential, its exponent fixed at -1/2; a tabulated potential is
+    treated as smooth, i.e. sampled at the mesh nodes.
     """
 
     kind: str
     coeffs: tuple[float, ...] = ()
     evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     tabulated_l1: float | None = None
-    singular_alpha: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("polynomial", "inverse_sqrt_half", "tabulated"):
@@ -52,8 +53,6 @@ class PotentialSpec:
             raise ModelError("tabulated potential needs an evaluator")
         if self.kind == "polynomial" and not self.coeffs:
             raise ModelError("polynomial potential needs a coefficient")
-        if self.singular_alpha is not None and not -1.0 < self.singular_alpha < 0.0:
-            raise ModelError("singular exponent must lie in (-1, 0)")
 
     @staticmethod
     def polynomial(coeffs) -> "PotentialSpec":
@@ -65,7 +64,7 @@ class PotentialSpec:
 
     @staticmethod
     def inverse_sqrt_half() -> "PotentialSpec":
-        return PotentialSpec(kind="inverse_sqrt_half", singular_alpha=-0.5)
+        return PotentialSpec(kind="inverse_sqrt_half")
 
     @staticmethod
     def tabulated(evaluator, l1: float | None = None) -> "PotentialSpec":
@@ -73,7 +72,7 @@ class PotentialSpec:
 
     @property
     def is_singular(self) -> bool:
-        return self.singular_alpha is not None
+        return self.kind == "inverse_sqrt_half"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -224,10 +223,15 @@ class TransmissionProblem:
 
 
 def _json(value, kind: type, what: str):
-    """value itself if it is a JSON object (dict) or array of numbers (list)."""
+    """value itself if it is a JSON object (dict) or array of finite numbers.
+
+    NaN, Infinity and numbers beyond the float range (which the json module
+    reads as inf) are not finite.
+    """
     if not isinstance(value, kind) or kind is list and not all(
-            type(v) in (int, float) for v in value):
-        name = "object" if kind is dict else "array of numbers"
+            type(v) in (int, float) and abs(v) <= sys.float_info.max
+            for v in value):
+        name = "object" if kind is dict else "array of finite numbers"
         raise ModelError(f"{what} must be a JSON {name}")
     return value
 
@@ -246,12 +250,13 @@ def _branch_from_dict(data: dict) -> BranchId:
     _json(data, dict, "branch record")
     try:
         family = data["family"]
-        n = int(data["n"])
-        sign = int(data.get("sign", 1))
+        n = data["n"]
     except KeyError as exc:
         raise ModelError(f"branch record is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"branch n and sign must be integers: {exc}") from exc
+    sign = data.get("sign", 1)
+    if type(n) is not int or type(sign) is not int:
+        raise ModelError(f"branch n and sign must be JSON integers, "
+                         f"got n={n!r}, sign={sign!r}")
     return BranchId(family=family, n=n, sign=sign)
 
 

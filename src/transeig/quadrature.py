@@ -18,7 +18,7 @@ from .model import INTERFACE
 
 
 class QuadratureError(ValueError):
-    """Unusable mesh, weight, or kernel parameter."""
+    """Unusable mesh or kernel parameter."""
 
 
 @dataclass(frozen=True)
@@ -142,43 +142,53 @@ class GridFunction:
         return max(self.left.sup, self.right.sup)
 
 
-def weighted_cumulative(g: PanelFn, alpha: float,
-                        extra=None) -> NDArray[np.float64]:
-    """Running integral of |1/2 - s|**alpha * extra(s) * g(s) from the start.
+def _substitution(mesh: PanelMesh):
+    """t = sqrt(|1/2 - s|) on one panel.
 
-    Only alpha == -1/2 is supported. The interface weight is removed by
-    t = sqrt(|1/2 - s|): the transformed integrand extra(x(t))*g(x(t)) is
-    smooth, integrated on a uniform t-mesh, and mapped back to the panel
-    nodes by cubic interpolation of the running t-integral. The optional
-    extra factor is evaluated exactly at the transformed points, so only g
-    itself is interpolated.
+    Returns the step of the uniform t-mesh, the points x(t) on it, and the
+    value of t at each panel node.
     """
-    if alpha is None or abs(alpha + 0.5) > 1e-12:
-        raise QuadratureError(f"unsupported weight exponent: {alpha}")
-    mesh = g.mesh
-    nodes = mesh.nodes
     t_top = sqrt(mesh.b - mesh.a)
     t = np.linspace(0.0, t_top, mesh.m + 1)
-    ht = t_top / mesh.m
     xs = INTERFACE - t * t if mesh.panel == "left" else INTERFACE + t * t
-    psi = np.atleast_1d(np.asarray(g(xs), dtype=float))
-    if extra is not None:
-        psi = psi * np.asarray(extra(xs), dtype=float)
+    return t_top / mesh.m, xs, np.sqrt(np.abs(INTERFACE - mesh.nodes))
+
+
+def _running_from_t(psi, ht: float, tau, panel: str) -> NDArray[np.float64]:
+    """Running integral at the panel nodes of a transformed integrand psi(t).
+
+    psi is integrated on the uniform t-mesh and mapped back to the nodes by
+    cubic interpolation of the running t-integral at tau.
+    """
     big_psi = cumulative_simpson(psi, ht)
-    if mesh.panel == "left":
-        tau = np.sqrt(np.maximum(INTERFACE - nodes, 0.0))
+    if panel == "left":
         out = 2.0 * (big_psi[-1] - interp_uniform(0.0, ht, big_psi, tau))
     else:
-        tau = np.sqrt(np.maximum(nodes - INTERFACE, 0.0))
         out = 2.0 * interp_uniform(0.0, ht, big_psi, tau)
     out[0] = 0.0
     return out
 
 
-def weighted_trig_cumulants(g: PanelFn, alpha: float, w: float):
-    """Weighted running integrals of g(s)*cos(w*s) and g(s)*sin(w*s)."""
-    return (weighted_cumulative(g, alpha, extra=lambda s: np.cos(w * s)),
-            weighted_cumulative(g, alpha, extra=lambda s: np.sin(w * s)))
+def weighted_cumulative(g: PanelFn) -> NDArray[np.float64]:
+    """Running integral of |1/2 - s|**-0.5 * g(s) from the panel start.
+
+    The interface weight is removed by t = sqrt(|1/2 - s|): the transformed
+    integrand g(x(t)) is smooth in t.
+    """
+    ht, xs, tau = _substitution(g.mesh)
+    return _running_from_t(g(xs), ht, tau, g.mesh.panel)
+
+
+def weighted_trig_cumulants(g: PanelFn, w: float):
+    """Weighted running integrals of g(s)*cos(w*s) and g(s)*sin(w*s).
+
+    g is interpolated once at the transformed points; the trigonometric
+    factors are evaluated there exactly.
+    """
+    ht, xs, tau = _substitution(g.mesh)
+    gx = g(xs)
+    return (_running_from_t(gx * np.cos(w * xs), ht, tau, g.mesh.panel),
+            _running_from_t(gx * np.sin(w * xs), ht, tau, g.mesh.panel))
 
 
 def sine_sweep(cosx, sinx, c_part, s_part, w: float):
@@ -191,18 +201,14 @@ def sine_sweep(cosx, sinx, c_part, s_part, w: float):
 
 
 def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
-                       weighted: PanelFn | None = None,
-                       alpha: float | None = None,
                        with_derivative: bool = False):
-    """Convolve the panel field with sin(w*(x - s))/w, w = sqrt(lambda0).
+    """Convolve the smooth panel field with sin(w*(x - s))/w, w = sqrt(lambda0).
 
     direction "from-left" integrates from the panel start to x; "from-right"
     integrates from x to the panel end. The kernel splits into products of
     cos(w*s) and sin(w*s) with trigonometric factors of x, so the whole
-    sweep costs two running integrals. A weighted component adds the
-    singular part |1/2 - s|**alpha * weighted(s) of the integrand through
-    weighted_cumulative. With with_derivative the analytic x-derivative of
-    the convolution (cosine kernel) is returned alongside.
+    sweep costs two running integrals. With with_derivative the analytic
+    x-derivative of the convolution (cosine kernel) is returned alongside.
     """
     if lambda0 <= 0.0:
         raise QuadratureError("kernel needs lambda0 > 0")
@@ -215,9 +221,6 @@ def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
     sinx = np.sin(w * x)
     c_run = cumulative_simpson(f.values * cosx, mesh.h)
     s_run = cumulative_simpson(f.values * sinx, mesh.h)
-    if weighted is not None:
-        c_weighted, s_weighted = weighted_trig_cumulants(weighted, alpha, w)
-        c_run, s_run = c_run + c_weighted, s_run + s_weighted
     if direction == "from-right":
         c_run, s_run = c_run[-1] - c_run, s_run[-1] - s_run
     g, dg = sine_sweep(cosx, sinx, c_run, s_run, w)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdcore import FdSolution
-from .model import TransmissionProblem
 from .quadrature import GridFunction, cumulative_simpson, weighted_cumulative
 
 
@@ -44,17 +43,14 @@ def _finish(kind: str, sol: FdSolution, nu1: np.ndarray,
                           zero_count=count_interior_zeros(sol.u_total()))
 
 
-def pointwise_residual(sol: FdSolution,
-                       problem: TransmissionProblem | None = None,
-                       ) -> ResidualReport:
+def pointwise_residual(sol: FdSolution) -> ResidualReport:
     """Residual of the truncated approximation evaluated on the mesh."""
-    problem = problem if problem is not None else sol.problem
-    q = problem.potential
+    q = sol.problem.potential
     if q.is_singular:
         raise ValueError("pointwise residual needs a potential that is "
                          "finite on each panel; use integrated_residual "
                          "for a singular interface weight")
-    nl = problem.nonlinearity
+    nl = sol.problem.nonlinearity
     lam = sol.lambda_total
     lam0 = sol.lambda0
     u = sol.u_total()
@@ -70,16 +66,10 @@ def pointwise_residual(sol: FdSolution,
     return _finish("pointwise", sol, out[0], out[1])
 
 
-def integrated_residual(sol: FdSolution,
-                        problem: TransmissionProblem | None = None,
-                        ) -> ResidualReport:
+def integrated_residual(sol: FdSolution) -> ResidualReport:
     """Once-antidifferentiated residual, valid for any integrable potential."""
-    problem = problem if problem is not None else sol.problem
-    q = problem.potential
-    if q.is_singular and q.kind != "inverse_sqrt_half":
-        raise ValueError("singular potentials are supported only for the "
-                         "built-in interface weight")
-    nl = problem.nonlinearity
+    q = sol.problem.potential
+    nl = sol.problem.nonlinearity
     lam = sol.lambda_total
     u = sol.u_total()
     du1, du2 = sol.du_total()
@@ -89,8 +79,7 @@ def integrated_residual(sol: FdSolution,
         if q.is_singular:
             running = cumulative_simpson(lam * panel.values
                                          - nl(panel.values), h)
-            running = running - weighted_cumulative(
-                panel, alpha=q.singular_alpha)
+            running = running - weighted_cumulative(panel)
         else:
             qx = np.asarray(q(panel.mesh.nodes), dtype=float)
             running = cumulative_simpson((lam - qx) * panel.values
@@ -101,22 +90,16 @@ def integrated_residual(sol: FdSolution,
     return _finish("integrated", sol, nu1, nu2)
 
 
-def residual_report(sol: FdSolution,
-                    problem: TransmissionProblem | None = None,
-                    ) -> ResidualReport:
+def residual_report(sol: FdSolution) -> ResidualReport:
     """Residual in the form appropriate for the potential's regularity."""
-    problem = problem if problem is not None else sol.problem
-    if problem.potential.is_singular:
-        return integrated_residual(sol, problem)
-    return pointwise_residual(sol, problem)
+    if sol.problem.potential.is_singular:
+        return integrated_residual(sol)
+    return pointwise_residual(sol)
 
 
-def residual_by_rank(sol: FdSolution,
-                     problem: TransmissionProblem | None = None,
-                     ) -> list[ResidualReport]:
+def residual_by_rank(sol: FdSolution) -> list[ResidualReport]:
     """Reports for every truncation rank 0..m of the solution."""
-    return [residual_report(sol.truncate(k), problem)
-            for k in range(sol.rank + 1)]
+    return [residual_report(sol.truncate(k)) for k in range(sol.rank + 1)]
 
 
 def count_interior_zeros(u: GridFunction, tol: float | None = None) -> int:

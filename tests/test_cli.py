@@ -138,7 +138,16 @@ def test_missing_problem_file(tmp_path, capsys):
     {"potential": {"kind": "polynomial"}, "nonlinearity": 5},
     {"potential": {"kind": "polynomial"}, "branch": "I"},
     {"potential": {"kind": "polynomial", "coeffs": []}},
-], ids=["potential", "nonlinearity", "branch", "empty-coeffs"])
+    {"potential": {"kind": "polynomial", "coeffs": [math.nan]}},
+    {"potential": {"kind": "polynomial", "coeffs": [math.inf]}},
+    {"potential": {"kind": "polynomial"},
+     "nonlinearity": {"coeffs_from_degree_1": [math.nan]}},
+    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": 1.5}},
+    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": "2"}},
+    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": True}},
+], ids=["potential", "nonlinearity", "branch", "empty-coeffs", "nan-coeff",
+        "infinite-coeff", "nan-nonlinearity-coeff", "fractional-n", "string-n",
+        "bool-n"])
 def test_malformed_problem_file_exits_2(tmp_path, capsys, record):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))

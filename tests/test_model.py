@@ -160,10 +160,23 @@ def test_load_problem_bad_kind(tmp_path):
      "branch": {"family": "I", "n": 0, "sign": "-"}},
     [{"potential": {"kind": "polynomial"}}],
     5,
+    {"potential": {"kind": "polynomial", "coeffs": [math.nan]}},
+    {"potential": {"kind": "polynomial", "coeffs": [math.inf]}},
+    {"potential": {"kind": "polynomial", "coeffs": [10 ** 400]}},
+    {"potential": {"kind": "polynomial"},
+     "nonlinearity": {"coeffs_from_degree_1": [0.0, -math.inf]}},
+    {"potential": {"kind": "polynomial"},
+     "branch": {"family": "II", "n": 1.5}},
+    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": "2"}},
+    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": True}},
+    {"potential": {"kind": "polynomial"},
+     "branch": {"family": "I", "n": 1, "sign": -1.0}},
 ], ids=["potential", "nonlinearity", "branch", "empty-coeffs",
         "scalar-coeffs", "null-coeff", "scalar-nonlinearity-coeffs",
         "string-nonlinearity-coeff", "null-n", "string-sign", "list",
-        "number"])
+        "number", "nan-coeff", "infinite-coeff", "huge-int-coeff",
+        "infinite-nonlinearity-coeff", "fractional-n", "string-n", "bool-n",
+        "float-sign"])
 def test_load_problem_rejects_malformed_records(tmp_path, record):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(record))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from transeig.quadrature import (GridFunction, PanelFn, PanelMesh,
                                  QuadratureError, cumulative_simpson,
                                  interp_uniform, kernel_convolution,
-                                 weighted_cumulative)
+                                 weighted_cumulative, weighted_trig_cumulants)
 
 
 def cubic(x):
@@ -112,7 +112,7 @@ def test_grid_function_dispatch():
 def test_weighted_rule_integrates_the_bare_weight(panel, expected):
     mesh = PanelMesh(panel, 64)
     g = PanelFn.from_callable(mesh, lambda x: np.ones_like(x))
-    running = weighted_cumulative(g, alpha=-0.5)
+    running = weighted_cumulative(g)
     assert running[0] == 0.0
     assert running[-1] == pytest.approx(expected, abs=1e-12)
 
@@ -121,7 +121,7 @@ def test_weighted_rule_linear_factor():
     # integrand (1/2 - x)**(-1/2) * (1/2 - x) has the closed antiderivative
     mesh = PanelMesh("left", 64)
     g = PanelFn.from_callable(mesh, lambda x: 0.5 - x)
-    running = weighted_cumulative(g, alpha=-0.5)
+    running = weighted_cumulative(g)
     expected = (2.0 / 3.0) * 0.5 ** 1.5
     assert running[-1] == pytest.approx(expected, abs=1e-12)
 
@@ -129,19 +129,38 @@ def test_weighted_rule_linear_factor():
 def test_weighted_rule_zero_factor():
     mesh = PanelMesh("right", 32)
     g = PanelFn.zeros(mesh)
-    assert np.all(weighted_cumulative(g, alpha=-0.5) == 0.0)
+    assert np.all(weighted_cumulative(g) == 0.0)
 
 
 def test_weighted_rule_prefix_values_against_substituted_quadrature():
+    # with t = sqrt(|1/2 - s|) the prefix integral of |1/2 - s|**-0.5 * f(s)
+    # is the integral of 2*f(x(t)) over the t-range the prefix covers
     from scipy.integrate import quad
-    mesh = PanelMesh("left", 256)
-    g = PanelFn.from_callable(mesh, lambda x: np.cos(1.7 * x))
-    running = weighted_cumulative(g, alpha=-0.5)
-    for idx in (64, 190, 256):
-        x = mesh.nodes[idx]
-        ref, _ = quad(lambda t: 2.0 * math.cos(1.7 * (0.5 - t * t)),
-                      math.sqrt(0.5 - x), math.sqrt(0.5), limit=100)
-        assert running[idx] == pytest.approx(ref, abs=1e-9)
+    w = 2.0
+
+    def f(x):
+        return math.cos(1.7 * x)
+
+    for panel, sign in (("left", -1.0), ("right", 1.0)):
+        mesh = PanelMesh(panel, 256)
+        g = PanelFn.from_callable(mesh, lambda x: np.cos(1.7 * x))
+        running = weighted_cumulative(g)
+        c_run, s_run = weighted_trig_cumulants(g, w)
+        for idx in (1, 64, 190, 256):
+            tau = math.sqrt(abs(0.5 - mesh.nodes[idx]))
+            lo, hi = (tau, math.sqrt(0.5)) if panel == "left" else (0.0, tau)
+
+            def substituted(factor):
+                return quad(lambda t: 2.0 * f(0.5 + sign * t * t)
+                            * factor(0.5 + sign * t * t), lo, hi,
+                            limit=100)[0]
+
+            assert running[idx] == pytest.approx(
+                substituted(lambda x: 1.0), abs=1e-9)
+            assert c_run[idx] == pytest.approx(
+                substituted(lambda x: math.cos(w * x)), abs=1e-9)
+            assert s_run[idx] == pytest.approx(
+                substituted(lambda x: math.sin(w * x)), abs=1e-9)
 
 
 def test_weighted_rule_fourth_order():
@@ -150,17 +169,10 @@ def test_weighted_rule_fourth_order():
     for m in (64, 128):
         mesh = PanelMesh("right", m)
         g = PanelFn.from_callable(mesh, lambda x: np.exp(x - 0.5))
-        running = weighted_cumulative(g, alpha=-0.5)
+        running = weighted_cumulative(g)
         ref, _ = quad(lambda t: 2.0 * math.exp(t * t), 0.0, math.sqrt(0.5))
         errs.append(abs(running[-1] - ref))
     assert errs[0] / errs[1] > 12.0
-
-
-def test_weighted_rule_rejects_other_exponents():
-    mesh = PanelMesh("left", 16)
-    g = PanelFn.zeros(mesh)
-    with pytest.raises(QuadratureError):
-        weighted_cumulative(g, alpha=-0.25)
 
 
 def test_kernel_constant_forcing():
