@@ -12,44 +12,28 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .basis import ascending_branches
 from .convergence import convergence_report
 from .fdcore import DEFAULT_MESH, fd_solve
-from .model import BranchId, ModelError, l1_norm, load_problem
+from .model import (BranchId, ModelError, TransmissionProblem, l1_norm,
+                    load_problem)
 from .oracle import find_eigenvalue
-from .residual import log_table, residual_by_rank
+from .residual import count_interior_zeros, log_table, residual_by_rank
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation settings; flags override file values."""
-
-    command: str
-    problem_path: str
-    family: str = "auto"
-    sign: str | None = None
-    n: int | None = None
-    first: int = 1
-    rank: int = 4
-    mesh: int = DEFAULT_MESH
-    tol: float = 1e-10
-    out: str = "out"
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ModelError("rank must be non-negative")
-        if self.mesh % 2 or self.mesh < 4:
-            raise ModelError("mesh size must be even and at least 4")
-        if self.first < 1:
-            raise ModelError("branch count must be at least 1")
-        if self.jobs < 1:
-            raise ModelError("worker count must be at least 1")
-        if self.tol <= 0.0:
-            raise ModelError("tolerance must be positive")
+def _check_flags(args: argparse.Namespace) -> None:
+    """Range checks the parser cannot express; a failing flag exits 2."""
+    if args.rank < 0:
+        raise ModelError("rank must be non-negative")
+    if args.mesh % 2 or args.mesh < 4:
+        raise ModelError("mesh size must be even and at least 4")
+    if args.tol <= 0.0:
+        raise ModelError("tolerance must be positive")
+    if getattr(args, "jobs", 1) < 1:
+        raise ModelError("worker count must be at least 1")
 
 
 def _fmt(x: float) -> str:
@@ -66,27 +50,28 @@ def _json_safe(value):
     return value
 
 
-def _resolve_branch(config: RunConfig, file_branch: BranchId | None) -> BranchId:
+def _resolve_branch(args: argparse.Namespace,
+                    file_branch: BranchId | None) -> BranchId:
     sign = None
-    if config.sign is not None:
-        sign = -1 if config.sign == "-" else 1
-    if config.family in ("I", "II"):
-        n = config.n if config.n is not None else (0 if config.family == "I" else 1)
-        return BranchId(family=config.family, n=n, sign=sign or 1)
+    if args.sign is not None:
+        sign = -1 if args.sign == "-" else 1
+    if args.family in ("I", "II"):
+        n = args.n if args.n is not None else (0 if args.family == "I" else 1)
+        return BranchId(family=args.family, n=n, sign=sign or 1)
     if file_branch is not None:
         return BranchId(family=file_branch.family,
-                        n=config.n if config.n is not None else file_branch.n,
+                        n=args.n if args.n is not None else file_branch.n,
                         sign=sign if sign is not None else file_branch.sign)
     return ascending_branches(1)[0]
 
 
-def _branch_payload(problem_path: str, family: str, sign: int, n: int,
-                    rank: int, mesh: int, tol: float) -> dict:
+def _branch_payload(problem: TransmissionProblem, args: argparse.Namespace,
+                    branch: BranchId) -> dict:
     """Solve one branch and render its CSV and JSON texts."""
-    problem, _ = load_problem(problem_path)
-    branch = BranchId(family=family, n=n, sign=sign)
-    sol = fd_solve(problem, branch, rank, mesh)
+    rank = args.rank
+    sol = fd_solve(problem, branch, rank, args.mesh)
     reports = residual_by_rank(sol)
+    zero_count = count_interior_zeros(sol.u_total())
     conv = convergence_report(l1_norm(problem.potential),
                               problem.nonlinearity, branch, rank)
     lines = ["m,lambda,sup_u1,sup_u2,residual_norm"]
@@ -101,14 +86,14 @@ def _branch_payload(problem_path: str, family: str, sign: int, n: int,
     csv_text = "\n".join(lines) + "\n"
     payload = {
         "branch": branch.tag,
-        "config": {"family": branch.family, "mesh": mesh, "n": branch.n,
-                   "rank": rank, "sign": branch.sign, "tol": tol},
+        "config": {"family": branch.family, "mesh": args.mesh, "n": branch.n,
+                   "rank": rank, "sign": branch.sign, "tol": args.tol},
         "convergence": conv.as_dict(),
         "lambda": sol.lambda_total,
-        "problem": problem_path,
+        "problem": args.problem,
         "residual_kind": reports[-1].kind,
         "residual_norm": reports[-1].combined,
-        "zero_count": reports[-1].zero_count,
+        "zero_count": zero_count,
     }
     json_text = json.dumps(_json_safe(payload), sort_keys=True, indent=2,
                            allow_nan=False) + "\n"
@@ -118,12 +103,8 @@ def _branch_payload(problem_path: str, family: str, sign: int, n: int,
         "json": json_text,
         "norms": [r.combined for r in reports],
         "lambda": sol.lambda_total,
-        "zero_count": reports[-1].zero_count,
+        "zero_count": zero_count,
     }
-
-
-def _sweep_task(args: tuple) -> dict:
-    return _branch_payload(*args)
 
 
 def _write_branch_files(out: Path, payload: dict) -> None:
@@ -133,12 +114,11 @@ def _write_branch_files(out: Path, payload: dict) -> None:
                                                 encoding="utf-8")
 
 
-def cmd_solve(config: RunConfig) -> int:
-    _, file_branch = load_problem(config.problem_path)
-    branch = _resolve_branch(config, file_branch)
-    payload = _branch_payload(config.problem_path, branch.family, branch.sign,
-                              branch.n, config.rank, config.mesh, config.tol)
-    out = Path(config.out)
+def cmd_solve(args: argparse.Namespace) -> int:
+    problem, file_branch = load_problem(args.problem)
+    payload = _branch_payload(problem, args,
+                              _resolve_branch(args, file_branch))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_branch_files(out, payload)
     print(f"{payload['tag']}: lambda = {_fmt(payload['lambda'])}  "
@@ -148,17 +128,16 @@ def cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    load_problem(config.problem_path)
-    branches = ascending_branches(config.first)
-    tasks = [(config.problem_path, b.family, b.sign, b.n,
-              config.rank, config.mesh, config.tol) for b in branches]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            payloads = list(pool.map(_sweep_task, tasks))
+def cmd_sweep(args: argparse.Namespace) -> int:
+    branches = ascending_branches(args.first)
+    problem, _ = load_problem(args.problem)
+    task = partial(_branch_payload, problem, args)
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            payloads = list(pool.map(task, branches))
     else:
-        payloads = [_sweep_task(t) for t in tasks]
-    out = Path(config.out)
+        payloads = [task(b) for b in branches]
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     norms = {}
     for index, payload in enumerate(payloads):
@@ -188,21 +167,22 @@ def _oracle_near(problem, center: float, tol: float) -> float:
     raise last_error
 
 
-def cmd_validate(config: RunConfig) -> int:
-    problem, _ = load_problem(config.problem_path)
+def cmd_validate(args: argparse.Namespace) -> int:
+    branches = ascending_branches(args.first)
+    problem, _ = load_problem(args.problem)
     if problem.is_singular:
         print("validation by shooting is unavailable for a singular "
               "potential; check such solves with the integrated residual "
               "instead", file=sys.stderr)
         return 1
     rows = []
-    for index, branch in enumerate(ascending_branches(config.first)):
-        sol = fd_solve(problem, branch, config.rank, config.mesh)
+    for index, branch in enumerate(branches):
+        sol = fd_solve(problem, branch, args.rank, args.mesh)
         lam_fd = sol.lambda_total
-        lam_star = _oracle_near(problem, lam_fd, config.tol)
+        lam_star = _oracle_near(problem, lam_fd, args.tol)
         rows.append((index, branch.tag, lam_fd, lam_star,
                      abs(lam_fd - lam_star)))
-    out = Path(config.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["index,branch,lambda_fd,lambda_oracle,abs_diff"]
     print(f"{'index':<6}{'branch':<12}{'lambda_fd':<24}"
@@ -238,6 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory")
 
     solve = sub.add_parser("solve", help="solve a single branch")
+    solve.set_defaults(run=cmd_solve)
     add_common(solve, default_rank=4)
     solve.add_argument("--family", choices=("I", "II", "auto"),
                        default="auto", help="branch family")
@@ -246,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--n", type=int, default=None, help="branch index")
 
     sweep = sub.add_parser("sweep", help="solve the first K branches")
+    sweep.set_defaults(run=cmd_sweep)
     add_common(sweep, default_rank=4)
     sweep.add_argument("--first", type=int, required=True, metavar="K",
                        help="number of branches in ascending order")
@@ -254,6 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate",
                               help="cross-check eigenvalues by shooting")
+    validate.set_defaults(run=cmd_validate)
     add_common(validate, default_rank=6)
     validate.add_argument("--first", type=int, default=6, metavar="K",
                           help="number of branches in ascending order")
@@ -263,24 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            problem_path=args.problem,
-            family=getattr(args, "family", "auto"),
-            sign=getattr(args, "sign", None),
-            n=getattr(args, "n", None),
-            first=getattr(args, "first", 1),
-            rank=args.rank,
-            mesh=args.mesh,
-            tol=args.tol,
-            out=args.out,
-            jobs=getattr(args, "jobs", 1),
-        )
-        if args.command == "solve":
-            return cmd_solve(config)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        return cmd_validate(config)
+        _check_flags(args)
+        return args.run(args)
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ consecutive terms are exact in either form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -61,18 +61,16 @@ def convergence_ratio(branch: BranchId, radius: float) -> float:
 class MajorantState:
     """Dominating sequences in rescaled form.
 
-    scaled[j] holds vbar_j * gamma**j and scaled_mu[j] holds
-    mubar_j * gamma**j, both under the current gamma. Reconstruction of the
-    raw values can saturate to inf for long sequences; the flag records
-    that, and ratios should always be taken through the ratios() method,
-    which never leaves the representable range.
+    scaled[j] holds vbar_j * gamma**j under the current gamma. The second
+    majorant satisfies mubar_j * (1 + v0) = vbar_j for j >= 1, so mu_bar()
+    derives it. Reconstruction of the raw values can saturate to inf for
+    long sequences; the flag records that, and ratios should always be
+    taken through the ratios() method, which never leaves the
+    representable range.
     """
 
-    q_norm: float
-    nbar: NonlinearitySpec
     terms: int
     scaled: np.ndarray
-    scaled_mu: np.ndarray
     gamma: float
     overflowed: bool = False
     ratio_interval: tuple[float, float] | None = None
@@ -100,10 +98,7 @@ class MajorantState:
     def mu_bar(self, j: int) -> float:
         if not 1 <= j <= self.terms:
             raise ValueError(f"term {j} not computed (have 1..{self.terms})")
-        if self.scaled_mu[j] == 0.0:
-            return 0.0
-        lv = math.log(self.scaled_mu[j]) - j * math.log(self.gamma)
-        return math.exp(lv) if lv < _LOG_FLOAT_MAX else math.inf
+        return self.vbar(j) / (1.0 + V0)
 
     def ratios(self) -> np.ndarray:
         """Consecutive ratios vbar_j / vbar_{j+1}, exact in scaled form."""
@@ -130,34 +125,25 @@ def majorant_sequence(q_norm: float, nbar: NonlinearitySpec | None,
     if nbar is not None and not nbar.is_empty:
         bar = nbar.majorant_spec()
     w = np.zeros(terms + 1)
-    mu = np.zeros(terms + 1)
     w[0] = V0
     gamma = 1.0
     drive0 = q_norm * V0
     if bar is not None:
         drive0 += bar.majorant_derivative(V0) * V0
-    mu[1] = gamma * drive0
-    w[1] = (1.0 + V0) * mu[1]
+    w[1] = (1.0 + V0) * drive0
     overflowed = False
     for j in range(1, terms):
         quad = float(np.dot(w[1:j + 1][::-1], w[1:j + 1]))
-        quad_mu = float(np.dot(mu[1:j + 1][::-1], w[1:j + 1]))
         drive = q_norm * w[j]
         if bar is not None:
             drive += adomian(bar, w[:j + 1])
-        mu[j + 1] = quad_mu + gamma * drive
         w[j + 1] = quad + (1.0 + V0) * gamma * drive
         if w[j + 1] > _RESCALE_AT:
             sigma = (1.0 / w[j + 1]) ** (1.0 / (j + 1))
-            powers = sigma ** np.arange(j + 2)
-            w[:j + 2] *= powers
-            mu[:j + 2] *= powers
+            w[:j + 2] *= sigma ** np.arange(j + 2)
             gamma *= sigma
             overflowed = True
-    return MajorantState(q_norm=q_norm,
-                         nbar=nbar if nbar is not None
-                         else NonlinearitySpec.empty(),
-                         terms=terms, scaled=w, scaled_mu=mu, gamma=gamma,
+    return MajorantState(terms=terms, scaled=w, gamma=gamma,
                          overflowed=overflowed)
 
 
@@ -228,8 +214,6 @@ class DecayReport:
     factor: float
     condition_satisfied: bool
     message: str
-    constant_note: str = ("factor multiplies an unknown constant; "
-                         "only the decay shape is predicted")
 
 
 def decay_report(r_n: float, m: int) -> DecayReport:
@@ -264,17 +248,7 @@ class ConvergenceReport:
     radius_interval: tuple[float, float] | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "q_norm": self.q_norm,
-            "radius": self.radius,
-            "ratio": self.ratio,
-            "condition_satisfied": self.condition_satisfied,
-            "decay_factors": self.decay_factors,
-            "message": self.message,
-            "radius_method": self.radius_method,
-            "radius_interval": (list(self.radius_interval)
-                                if self.radius_interval else None),
-        }
+        return asdict(self)
 
 
 def convergence_report(q_norm: float, nbar: NonlinearitySpec | None,

@@ -138,8 +138,11 @@ def _potential_on_panels(q: PotentialSpec, mesh_left: PanelMesh,
     """Node values of a smooth potential, or (None, None) for the weight."""
     if q.is_singular:
         return None, None
-    return (np.asarray(q(mesh_left.nodes), dtype=float),
-            np.asarray(q(mesh_right.nodes), dtype=float))
+    left, right = (np.asarray(q(m.nodes), dtype=float)
+                   for m in (mesh_left, mesh_right))
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise FdError("potential is not finite at a mesh node")
+    return left, right
 
 
 def _driving_field(corrections: list[Correction], q_left, q_right,

@@ -29,7 +29,6 @@ class ResidualReport:
     norm2: float
     combined: float
     log_value: float
-    zero_count: int
 
 
 def _finish(kind: str, sol: FdSolution, nu1: np.ndarray,
@@ -39,8 +38,7 @@ def _finish(kind: str, sol: FdSolution, nu1: np.ndarray,
     combined = max(norm1, norm2)
     log_value = math.log(combined) if combined > 0.0 else -math.inf
     return ResidualReport(kind=kind, rank=sol.rank, norm1=norm1, norm2=norm2,
-                          combined=combined, log_value=log_value,
-                          zero_count=count_interior_zeros(sol.u_total()))
+                          combined=combined, log_value=log_value)
 
 
 def pointwise_residual(sol: FdSolution) -> ResidualReport:

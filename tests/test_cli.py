@@ -7,6 +7,7 @@ import pytest
 from transeig import cli
 from transeig.fdcore import fd_solve
 from transeig.model import BranchId, load_problem
+from transeig.residual import count_interior_zeros
 
 EX1 = Path(__file__).resolve().parent.parent / "problems" / "example1.json"
 EX2 = Path(__file__).resolve().parent.parent / "problems" / "example2.json"
@@ -44,6 +45,7 @@ def test_solve_writes_expected_files(tmp_path):
     assert payload["config"]["mesh"] == 256
     assert payload["residual_kind"] == "pointwise"
     assert "convergence" in payload
+    assert payload["zero_count"] == count_interior_zeros(sol.u_total())
 
 
 def test_solve_zero_potential_constant_lambda(tmp_path):
@@ -69,6 +71,18 @@ def test_solve_flags_override_file_branch(tmp_path):
     assert payload["config"]["sign"] == -1
 
 
+def test_solve_sign_flag_keeps_file_family(tmp_path):
+    prob = write_free_problem(tmp_path, branch={"family": "I", "n": 0})
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--problem", str(prob), "--n", "1",
+                     "--sign", "-", "--rank", "1", "--mesh", "64",
+                     "--out", str(out)])
+    assert code == 0
+    payload = json.loads((out / "I_minus_1.json").read_text())
+    assert payload["config"] == {"family": "I", "mesh": 64, "n": 1,
+                                 "rank": 1, "sign": -1, "tol": 1e-10}
+
+
 def test_solve_family_flag_default_index(tmp_path):
     prob = write_free_problem(tmp_path)
     out = tmp_path / "out"
@@ -91,11 +105,13 @@ def test_sweep_outputs_and_log_table(tmp_path):
     assert len(lines) == 4  # header plus ranks 0..2
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("problem", [EX1, EX2],
+                         ids=["example1", "example2"])
+def test_sweep_parallel_matches_serial(tmp_path, problem):
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"
-    base = ["sweep", "--problem", str(EX1), "--first", "3", "--rank", "2",
-            "--mesh", "256"]
+    base = ["sweep", "--problem", str(problem), "--first", "3", "--rank", "2",
+            "--mesh", "64"]
     assert cli.main(base + ["--out", str(out1), "--jobs", "1"]) == 0
     assert cli.main(base + ["--out", str(out2), "--jobs", "3"]) == 0
     for name in ("I_plus_0.csv", "I_plus_0.json", "II_1.csv", "II_1.json",
@@ -155,6 +171,22 @@ def test_malformed_problem_file_exits_2(tmp_path, capsys, record):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["solve", "--rank", "-1"],
+    ["solve", "--mesh", "63"],
+    ["solve", "--tol", "0"],
+    ["sweep", "--first", "0"],
+    ["sweep", "--first", "2", "--jobs", "0"],
+    ["validate", "--first", "0"],
+], ids=["rank", "mesh", "tol", "first", "jobs", "validate-first"])
+def test_out_of_range_flags_exit_2(tmp_path, capsys, flags):
+    code = cli.main(flags + ["--problem", str(EX1),
+                             "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_branch_flags(tmp_path, capsys):

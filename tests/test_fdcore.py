@@ -231,6 +231,29 @@ def test_rhs_assemble_index_check():
         rhs_assemble(1, corrections, 0.0, EX1.potential, EX1.nonlinearity)
 
 
+def _inverse_sqrt_half(x):
+    with np.errstate(divide="ignore"):
+        return np.abs(0.5 - x) ** -0.5
+
+
+def _nan_at_half(x):
+    with np.errstate(invalid="ignore"):
+        return (0.5 - x) / (0.5 - x)
+
+
+@pytest.mark.parametrize("evaluator", [_inverse_sqrt_half, _nan_at_half],
+                         ids=["inf", "nan"])
+def test_non_finite_tabulated_potential_raises(evaluator):
+    problem = TransmissionProblem(PotentialSpec.tabulated(evaluator),
+                                  NonlinearitySpec.power(2))
+    with pytest.raises(FdError, match="not finite"):
+        fd_solve(problem, B0, rank=2, mesh=64)
+    corrections = [_Engine(EX1, B0, 64).zero_correction()]
+    with pytest.raises(FdError, match="not finite"):
+        rhs_assemble(0, corrections, 0.0, problem.potential,
+                     problem.nonlinearity)
+
+
 def test_u_correction_constant_forcing():
     lam0 = zero_eigenvalue(B0)
     w = math.sqrt(lam0)
