@@ -7,6 +7,10 @@ converges whenever r_n = 1/(a*R) < 1 with the branch scaling constant a.
 The sequences grow like R**-j, so they are carried in a rescaled form
 w_j = vbar_j * gamma**j with an adaptively tightened gamma; ratios of
 consecutive terms are exact in either form.
+
+The report takes R from the branch point of the inverse generating
+function, exact when N is absent and conservative otherwise; the ratio test
+approaches R from above and stays a library cross-check.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .model import BranchId, NonlinearitySpec
 V0 = 8.0 / 3.0
 _RESCALE_AT = 1e100
 _LOG_FLOAT_MAX = math.log(1.7e308)
+_RATIO_WINDOW = 10
 
 
 def radius_linear(q_norm: float) -> float:
@@ -73,11 +78,6 @@ class MajorantState:
     scaled: np.ndarray
     gamma: float
     overflowed: bool = False
-    ratio_interval: tuple[float, float] | None = None
-
-    @property
-    def v0(self) -> float:
-        return V0
 
     def log_vbar(self, j: int) -> float:
         if not 0 <= j <= self.terms:
@@ -147,30 +147,19 @@ def majorant_sequence(q_norm: float, nbar: NonlinearitySpec | None,
                          overflowed=overflowed)
 
 
-def estimate_radius_nonlinear(state: MajorantState,
-                              window: int = 10) -> float:
+def estimate_radius_nonlinear(state: MajorantState) -> float:
     """Ratio-test estimate of the generating function's radius.
 
-    Takes the smallest of the trailing consecutive-term ratios as the
-    lim-inf proxy. The inspected window is recorded on the state as an
-    uncertainty interval; a non-monotone window widens it.
+    Takes the smallest of the last ten consecutive-term ratios as the
+    lim-inf proxy.
     """
-    if state.terms < 10:
+    if state.terms < _RATIO_WINDOW:
         raise ValueError("radius estimate needs at least 10 computed terms")
     if np.all(state.scaled[1:] == 0.0):
-        state.ratio_interval = (math.inf, math.inf)
         return math.inf
     ratios = state.ratios()
     ratios = ratios[np.isfinite(ratios)]
-    take = min(window, len(ratios))
-    tail = ratios[-take:]
-    estimate = float(np.min(tail))
-    decreasing = bool(np.all(np.diff(tail) <= tail[:-1] * 1e-12))
-    if decreasing:
-        state.ratio_interval = (estimate, float(tail[-1]))
-    else:
-        state.ratio_interval = (estimate, float(np.max(tail)))
-    return estimate
+    return float(np.min(ratios[-_RATIO_WINDOW:]))
 
 
 def branch_point_radius(q_norm: float,
@@ -217,12 +206,15 @@ class DecayReport:
 
 
 def decay_report(r_n: float, m: int) -> DecayReport:
-    """Predicted decay factor r_n**m / (m+1) and its qualitative reading."""
+    """Decay factor r_n**m / (m+1), saturating to inf, and its reading."""
     if r_n < 0.0:
         raise ValueError("ratio must be non-negative")
     if m < 0:
         raise ValueError("rank must be non-negative")
-    factor = r_n ** m / (m + 1)
+    try:
+        factor = r_n ** m / (m + 1)
+    except OverflowError:
+        factor = math.inf
     if r_n < 1.0:
         message = "sufficient condition satisfied; superexponential decay"
     elif r_n == 1.0:
@@ -244,26 +236,15 @@ class ConvergenceReport:
     condition_satisfied: bool
     decay_factors: list[float]
     message: str
-    radius_method: str
-    radius_interval: tuple[float, float] | None = None
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
 def convergence_report(q_norm: float, nbar: NonlinearitySpec | None,
-                       branch: BranchId, rank: int,
-                       terms: int = 40) -> ConvergenceReport:
+                       branch: BranchId, rank: int) -> ConvergenceReport:
     """Assemble the diagnostics for one branch at the requested rank."""
-    interval = None
-    if nbar is None or nbar.is_empty:
-        radius = radius_linear(q_norm)
-        method = "closed-form"
-    else:
-        state = majorant_sequence(q_norm, nbar, max(terms, 10))
-        radius = estimate_radius_nonlinear(state)
-        interval = state.ratio_interval
-        method = "ratio-test"
+    radius = branch_point_radius(q_norm, nbar)
     ratio = convergence_ratio(branch, radius)
     reports = [decay_report(ratio, m) for m in range(rank + 1)]
     return ConvergenceReport(
@@ -271,5 +252,4 @@ def convergence_report(q_norm: float, nbar: NonlinearitySpec | None,
         condition_satisfied=ratio < 1.0,
         decay_factors=[r.factor for r in reports],
         message=reports[-1].message,
-        radius_method=method, radius_interval=interval,
     )

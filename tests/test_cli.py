@@ -6,7 +6,7 @@ import pytest
 
 from transeig import cli
 from transeig.fdcore import fd_solve
-from transeig.model import BranchId, load_problem
+from transeig.model import load_problem
 from transeig.residual import count_interior_zeros
 
 EX1 = Path(__file__).resolve().parent.parent / "problems" / "example1.json"
@@ -57,6 +57,20 @@ def test_solve_zero_potential_constant_lambda(tmp_path):
     lines = (out / "II_1.csv").read_text().strip().splitlines()[1:]
     lambdas = [float(row.split(",")[1]) for row in lines]
     assert lambdas == [pytest.approx(4.0 * math.pi ** 2)] * 3
+
+
+def test_solve_with_overflowing_decay_factor(tmp_path):
+    prob = tmp_path / "big.json"
+    prob.write_text(json.dumps(
+        {"potential": {"kind": "polynomial", "coeffs": [1e6]}}))
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--problem", str(prob), "--rank", "50",
+                     "--mesh", "64", "--out", str(out)])
+    assert code == 0
+    conv = json.loads((out / "I_plus_0.json").read_text())["convergence"]
+    assert sorted(conv) == ["condition_satisfied", "decay_factors",
+                            "message", "q_norm", "radius", "ratio"]
+    assert conv["decay_factors"][-1] == "inf"
 
 
 def test_solve_flags_override_file_branch(tmp_path):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transeig.basis import zero_eigenvalue
-from transeig.convergence import (V0, ConvergenceReport, MajorantState,
-                                  branch_constants, branch_point_radius,
-                                  convergence_ratio, convergence_report,
-                                  decay_report, estimate_radius_nonlinear,
+from transeig.convergence import (V0, ConvergenceReport, branch_constants,
+                                  branch_point_radius, convergence_ratio,
+                                  convergence_report, decay_report,
+                                  estimate_radius_nonlinear,
                                   majorant_sequence, radius_linear)
 from transeig.model import BranchId, NonlinearitySpec
 
@@ -42,7 +44,7 @@ def test_linear_radius_monotone_in_norm():
 
 def test_majorant_start_values_linear():
     state = majorant_sequence(1.0, None, terms=4)
-    assert state.v0 == pytest.approx(8.0 / 3.0)
+    assert V0 == pytest.approx(8.0 / 3.0)
     assert state.vbar(1) == pytest.approx(88.0 / 9.0, rel=1e-12)
     assert state.vbar(2) == pytest.approx(10648.0 / 81.0, rel=1e-12)
 
@@ -185,24 +187,37 @@ def test_decay_report_shapes():
         decay_report(-1.0, 2)
 
 
+def test_decay_factor_saturates_beyond_float_range():
+    assert decay_report(1e8, 50).factor == math.inf
+
+
 def test_convergence_report_linear():
     rep = convergence_report(1.0, None, BranchId("II", 1), rank=4)
     assert isinstance(rep, ConvergenceReport)
-    assert rep.radius_method == "closed-form"
     assert rep.ratio == pytest.approx(14.691001922847846, rel=1e-12)
     assert not rep.condition_satisfied
     assert len(rep.decay_factors) == 5
     d = rep.as_dict()
     assert d["ratio"] == rep.ratio
-    assert d["radius_method"] == "closed-form"
 
 
 def test_convergence_report_nonlinear():
-    rep = convergence_report(1.0, SQUARE, BranchId("II", 1), rank=3,
-                             terms=60)
-    assert rep.radius_method == "ratio-test"
-    assert rep.radius_interval is not None
+    rep = convergence_report(1.0, SQUARE, BranchId("II", 1), rank=3)
+    assert rep.radius == branch_point_radius(1.0, SQUARE)
     assert rep.ratio > 1.0
+
+
+@given(q_norm=st.floats(0.05, 5.0),
+       coeffs=st.one_of(st.just([]),
+                        st.lists(st.floats(-2.0, 2.0), min_size=1,
+                                 max_size=4)))
+@settings(max_examples=50, deadline=None)
+def test_reported_radius_is_the_conservative_one(q_norm, coeffs):
+    nbar = NonlinearitySpec(tuple(coeffs))
+    rep = convergence_report(q_norm, nbar, BranchId("II", 1), rank=2)
+    assert rep.radius == branch_point_radius(q_norm, nbar)
+    ratio_test = estimate_radius_nonlinear(majorant_sequence(q_norm, nbar, 40))
+    assert rep.radius <= ratio_test
 
 
 def test_state_ratios_follow_storage():
