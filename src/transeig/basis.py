@@ -92,12 +92,6 @@ def check_matching(z: ZeroApproximation, tol: float = 1e-12) -> MatchingReport:
     )
 
 
-def _order_key(branch: BranchId) -> float:
-    if branch.family == "I":
-        return 2.0 * branch.n + branch.sign * (2.0 / 3.0)
-    return float(branch.n)
-
-
 def ascending_branches(count: int) -> list[BranchId]:
     """The first `count` branches ordered by increasing eigenvalue.
 
@@ -111,5 +105,5 @@ def ascending_branches(count: int) -> list[BranchId]:
         pool.append(BranchId("II", n))
         pool.append(BranchId("I", n, 1))
         pool.append(BranchId("I", n, -1))
-    pool.sort(key=_order_key)
+    pool.sort(key=zero_eigenvalue)
     return pool[:count]

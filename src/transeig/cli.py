@@ -30,7 +30,7 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise ModelError("rank must be non-negative")
     if args.mesh % 2 or args.mesh < 4:
         raise ModelError("mesh size must be even and at least 4")
-    if args.tol <= 0.0:
+    if getattr(args, "tol", 1.0) <= 0.0:
         raise ModelError("tolerance must be positive")
     if getattr(args, "jobs", 1) < 1:
         raise ModelError("worker count must be at least 1")
@@ -87,7 +87,7 @@ def _branch_payload(problem: TransmissionProblem, args: argparse.Namespace,
     payload = {
         "branch": branch.tag,
         "config": {"family": branch.family, "mesh": args.mesh, "n": branch.n,
-                   "rank": rank, "sign": branch.sign, "tol": args.tol},
+                   "rank": rank, "sign": branch.sign},
         "convergence": conv.as_dict(),
         "lambda": sol.lambda_total,
         "problem": args.problem,
@@ -132,8 +132,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     branches = ascending_branches(args.first)
     problem, _ = load_problem(args.problem)
     task = partial(_branch_payload, problem, args)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(branches))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             payloads = list(pool.map(task, branches))
     else:
         payloads = [task(b) for b in branches]
@@ -211,9 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="number of corrections beyond the zero term")
         p.add_argument("--mesh", type=int, default=DEFAULT_MESH, metavar="M",
                        help="panel mesh size (even)")
-        p.add_argument("--tol", type=float, default=1e-10, metavar="REAL",
-                       help="oracle root-finding tolerance (validate); "
-                            "solve and sweep only record it")
         p.add_argument("--out", default="out", metavar="DIR",
                        help="output directory")
 
@@ -240,6 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(validate, default_rank=6)
     validate.add_argument("--first", type=int, default=6, metavar="K",
                           help="number of branches in ascending order")
+    validate.add_argument("--tol", type=float, default=1e-10, metavar="REAL",
+                          help="oracle root-finding tolerance")
     return parser
 
 

@@ -33,35 +33,25 @@ def adomian(n: NonlinearitySpec, u_values):
     """Series term A_j of N applied to the truncated expansion.
 
     u_values holds the terms u(0)..u(j) (scalars or equal-shaped arrays) and
-    the result is the coefficient of t**j in N(sum_k u(k) t**k), computed by
-    truncated products of the power series. A_0 equals N(u(0)).
+    the result is the coefficient of t**j in N(sum_k u(k) t**k). The series
+    of u**i is a list of its terms up to t**j; u**(i+1) is its truncated
+    product with the series of u, each term summed over r = 0..k in order,
+    and A_j adds up a_i times the t**j term of u**i. A_0 equals N(u(0)).
     """
     seq = [np.asarray(v, dtype=float) for v in u_values]
     if not seq:
         raise FdError("adomian needs at least the zero-order term")
-    j = len(seq) - 1
-    series = np.stack(np.broadcast_arrays(*seq)) if j else seq[0][None, ...]
-    if n.is_empty:
-        out = np.zeros_like(series[0])
-        return out if out.ndim else 0.0
-    total = np.zeros_like(series)
-    power = series.copy()
-    degree = n.degree
+    series = list(np.stack(np.broadcast_arrays(*seq)))
+    j = len(series) - 1
+    out = np.zeros_like(series[0])
+    power = series
     for i, a in enumerate(n.coeffs, start=1):
         if a != 0.0:
-            total = total + a * power
-        if i < degree:
-            power = _truncated_product(power, series)
-    out = total[j]
+            out = out + a * power[j]
+        if i < n.degree:
+            power = [sum((power[r] * series[k - r] for r in range(k + 1)), 0.0)
+                     for k in range(j + 1)]
     return out if out.ndim else float(out)
-
-
-def _truncated_product(p, s):
-    out = np.zeros_like(p)
-    for k in range(p.shape[0]):
-        for r in range(k + 1):
-            out[k] = out[k] + p[r] * s[k - r]
-    return out
 
 
 @dataclass

@@ -30,6 +30,14 @@ class ModelError(ValueError):
     """Invalid problem description."""
 
 
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x**k by Horner's rule, in numpy.polynomial's order."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """A potential q on (0, 1) with a computable L1 norm.
@@ -77,7 +85,7 @@ class PotentialSpec:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
+            return _horner(self.coeffs, x)
         if self.kind == "inverse_sqrt_half":
             with np.errstate(divide="ignore"):
                 return np.abs(INTERFACE - x) ** -0.5
@@ -145,13 +153,7 @@ class NonlinearitySpec:
 
     def __call__(self, u):
         """N(u) for scalar or array u."""
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        power = u.copy()
-        for a in self.coeffs:
-            if a != 0.0:
-                out = out + a * power
-            power = power * u
+        out = _horner((0.0,) + self.coeffs, np.asarray(u, dtype=float))
         return out if out.ndim else float(out)
 
     def majorant_spec(self) -> "NonlinearitySpec":
@@ -163,11 +165,8 @@ class NonlinearitySpec:
 
     def majorant_derivative(self, u):
         """d/du of the majorant series, sum i*|a_i|*u**(i-1)."""
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for i, a in enumerate(self.coeffs, start=1):
-            if a != 0.0:
-                out = out + i * abs(a) * u ** (i - 1)
+        slopes = [i * abs(a) for i, a in enumerate(self.coeffs, start=1)]
+        out = _horner(slopes or [0.0], np.asarray(u, dtype=float))
         return out if out.ndim else float(out)
 
 

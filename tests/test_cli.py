@@ -94,7 +94,7 @@ def test_solve_sign_flag_keeps_file_family(tmp_path):
     assert code == 0
     payload = json.loads((out / "I_minus_1.json").read_text())
     assert payload["config"] == {"family": "I", "mesh": 64, "n": 1,
-                                 "rank": 1, "sign": -1, "tol": 1e-10}
+                                 "rank": 1, "sign": -1}
 
 
 def test_solve_family_flag_default_index(tmp_path):
@@ -190,7 +190,7 @@ def test_malformed_problem_file_exits_2(tmp_path, capsys, record):
 @pytest.mark.parametrize("flags", [
     ["solve", "--rank", "-1"],
     ["solve", "--mesh", "63"],
-    ["solve", "--tol", "0"],
+    ["validate", "--tol", "0"],
     ["sweep", "--first", "0"],
     ["sweep", "--first", "2", "--jobs", "0"],
     ["validate", "--first", "0"],
@@ -201,6 +201,43 @@ def test_out_of_range_flags_exit_2(tmp_path, capsys, flags):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_tol_is_a_validate_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--problem", str(EX1), "--tol", "1e-10",
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("first, jobs, sizes", [("2", "8", [2]),
+                                                ("1", "4", [])],
+                         ids=["first-2-jobs-8", "first-1-jobs-4"])
+def test_sweep_pool_has_no_more_workers_than_branches(
+        tmp_path, monkeypatch, first, jobs, sizes):
+    opened = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code = cli.main(["sweep", "--problem", str(EX1), "--first", first,
+                     "--jobs", jobs, "--rank", "1", "--mesh", "64",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert opened == sizes
 
 
 def test_invalid_branch_flags(tmp_path, capsys):

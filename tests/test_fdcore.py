@@ -90,6 +90,25 @@ def test_adomian_on_arrays():
     assert np.allclose(out, 2.0 * u0 * u1)
 
 
+def test_adomian_on_arrays_matches_each_element():
+    rng = np.random.default_rng(20261018)
+    for _ in range(100):
+        degree = int(rng.integers(0, 5))
+        nl = NonlinearitySpec(tuple(rng.uniform(-2.0, 2.0, degree)))
+        j = int(rng.integers(0, 7))
+        u_values = [rng.uniform(-2.0, 2.0, 5) for _ in range(j + 1)]
+        out = adomian(nl, u_values)
+        each = [adomian(nl, [u[e] for u in u_values]) for e in range(5)]
+        assert out.shape == (5,)
+        assert np.array_equal(out, each)
+
+
+def test_adomian_accepts_many_scalar_terms():
+    # the t**99 term of (sum_k t**k / 2**k)**2 is 100 / 2**99, exactly
+    terms = [0.5 ** k for k in range(100)]
+    assert adomian(NonlinearitySpec.power(2), terms) == 100 * 0.5 ** 99
+
+
 def test_adomian_empty_series():
     assert adomian(NonlinearitySpec.empty(), [2.0, 3.0]) == 0.0
     with pytest.raises(FdError):

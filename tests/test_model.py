@@ -86,6 +86,23 @@ def test_majorant_dominates(u):
     assert abs(nl(u)) <= nl.majorant(abs(u)) + 1e-12
 
 
+COEFFS = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5)
+POINTS = st.one_of(st.floats(0.0, 1.0),
+                   st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
+                   .map(np.array))
+
+
+@given(c=COEFFS, x=POINTS)
+@settings(max_examples=200, deadline=None)
+def test_polynomials_evaluate_as_polyval(c, x):
+    polyval = np.polynomial.polynomial.polyval
+    slopes = [i * abs(a) for i, a in enumerate(c, start=1)]
+    assert np.array_equal(PotentialSpec.polynomial(c)(x), polyval(x, c))
+    assert np.array_equal(NonlinearitySpec(c)(x), polyval(x, [0.0, *c]))
+    assert np.array_equal(NonlinearitySpec(c).majorant_derivative(abs(x)),
+                          polyval(abs(x), slopes))
+
+
 def test_branch_canonicalization():
     b = BranchId("I", 0, 1)
     assert b.tag == "I_plus_0"
