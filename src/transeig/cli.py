@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from .basis import ascending_branches
+from .basis import ascending_branches, zero_eigenvalue
 from .convergence import convergence_report
 from .fdcore import DEFAULT_MESH, fd_solve
 from .model import (BranchId, ModelError, TransmissionProblem, l1_norm,
@@ -157,12 +157,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_near(problem, center: float, tol: float) -> float:
-    last_error = None
-    for width in (0.5, 2.0):
+def _oracle_near(problem, center: float, levels: list[float], index: int,
+                 tol: float) -> float:
+    """Shooting root of branch `index` next to its FD value `center`.
+
+    Two widths around the FD value come first. Then comes the bracket
+    between the midpoints to the neighbouring zero eigenvalues in `levels`
+    (ascending, one beyond the branch); the lowest branch extends downward
+    by its upper half-gap.
+    """
+    level = levels[index]
+    upper = 0.5 * (levels[index + 1] - level)
+    lower = 0.5 * (level - levels[index - 1]) if index else upper
+    for bracket in ((center - 0.5, center + 0.5), (center - 2.0, center + 2.0),
+                    (level - lower, level + upper)):
         try:
-            return find_eigenvalue(problem, (center - width, center + width),
-                                   tol=tol)
+            return find_eigenvalue(problem, bracket, tol=tol)
         except ValueError as exc:
             last_error = exc
     raise last_error
@@ -170,6 +180,7 @@ def _oracle_near(problem, center: float, tol: float) -> float:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     branches = ascending_branches(args.first)
+    levels = [zero_eigenvalue(b) for b in ascending_branches(args.first + 1)]
     problem, _ = load_problem(args.problem)
     if problem.is_singular:
         print("validation by shooting is unavailable for a singular "
@@ -180,7 +191,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for index, branch in enumerate(branches):
         sol = fd_solve(problem, branch, args.rank, args.mesh)
         lam_fd = sol.lambda_total
-        lam_star = _oracle_near(problem, lam_fd, args.tol)
+        lam_star = _oracle_near(problem, lam_fd, levels, index, args.tol)
         rows.append((index, branch.tag, lam_fd, lam_star,
                      abs(lam_fd - lam_star)))
     out = Path(args.out)

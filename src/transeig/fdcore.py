@@ -29,28 +29,52 @@ class FdError(ValueError):
     """Recursion cannot proceed with the given inputs."""
 
 
+class _AdomianSeries:
+    """Adomian terms of N(sum_k u(k) t**k), one rank per push.
+
+    It keeps the terms of u**1..u**(d-1) pushed so far, d being the degree
+    of the highest nonzero coefficient. A push forms only the t**j term of
+    each power, each summed over r = 0..j in order; the term of u**d goes
+    straight into A_j and is not stored.
+    """
+
+    def __init__(self, n: NonlinearitySpec):
+        degree = max((i for i, a in enumerate(n.coeffs, start=1) if a != 0.0),
+                     default=0)
+        self.coeffs = n.coeffs[:degree]
+        self.powers = [[] for _ in range(degree - 1)]
+        self.rank = -1
+
+    def push(self, u_j):
+        """Take the term u(j) and return A_j."""
+        self.rank += 1
+        j = self.rank
+        out = np.zeros_like(u_j)
+        term = u_j
+        for i, a in enumerate(self.coeffs, start=1):
+            if a != 0.0:
+                out = out + a * term
+            if i < len(self.coeffs):
+                power, u = self.powers[i - 1], self.powers[0]
+                power.append(term)
+                term = sum((power[r] * u[j - r] for r in range(j + 1)), 0.0)
+        return out
+
+
 def adomian(n: NonlinearitySpec, u_values):
     """Series term A_j of N applied to the truncated expansion.
 
     u_values holds the terms u(0)..u(j) (scalars or equal-shaped arrays) and
-    the result is the coefficient of t**j in N(sum_k u(k) t**k). The series
-    of u**i is a list of its terms up to t**j; u**(i+1) is its truncated
-    product with the series of u, each term summed over r = 0..k in order,
-    and A_j adds up a_i times the t**j term of u**i. A_0 equals N(u(0)).
+    the result is the coefficient of t**j in N(sum_k u(k) t**k). This is a
+    view of the incremental series the solver keeps: every term is pushed
+    and the last A_j is returned. A_0 equals N(u(0)).
     """
     seq = [np.asarray(v, dtype=float) for v in u_values]
     if not seq:
         raise FdError("adomian needs at least the zero-order term")
-    series = list(np.stack(np.broadcast_arrays(*seq)))
-    j = len(series) - 1
-    out = np.zeros_like(series[0])
-    power = series
-    for i, a in enumerate(n.coeffs, start=1):
-        if a != 0.0:
-            out = out + a * power[j]
-        if i < n.degree:
-            power = [sum((power[r] * series[k - r] for r in range(k + 1)), 0.0)
-                     for k in range(j + 1)]
+    series = _AdomianSeries(n)
+    for term in np.stack(np.broadcast_arrays(*seq)):
+        out = series.push(term)
     return out if out.ndim else float(out)
 
 
@@ -136,12 +160,13 @@ def _potential_on_panels(q: PotentialSpec, mesh_left: PanelMesh,
 
 
 def _driving_field(corrections: list[Correction], q_left, q_right,
-                   nl: NonlinearitySpec):
+                   a_left, a_right):
     """Everything on the right-hand side except the new eigenvalue term.
 
     q_left/q_right are node values of a smooth potential, or None for the
     singular built-in weight; in the latter case the weighted factors are
-    returned separately.
+    returned separately. a_left/a_right are the Adomian terms A_j on the
+    panels.
     """
     j = len(corrections) - 1
     g1 = np.zeros_like(corrections[0].u1.values)
@@ -157,9 +182,8 @@ def _driving_field(corrections: list[Correction], q_left, q_right,
         weighted1 = weighted2 = None
         g1 += q_left * last.u1.values
         g2 += q_right * last.u2.values
-    if not nl.is_empty:
-        g1 += adomian(nl, [c.u1.values for c in corrections])
-        g2 += adomian(nl, [c.u2.values for c in corrections])
+    g1 += a_left
+    g2 += a_right
     return g1, g2, weighted1, weighted2
 
 
@@ -242,6 +266,8 @@ class _Engine(_Frame):
         self.denominator = self._weight_total(self.zero_cumulants)
         self.q_left, self.q_right = _potential_on_panels(
             problem.potential, self.mesh_left, self.mesh_right)
+        self.series = (_AdomianSeries(problem.nonlinearity),
+                       _AdomianSeries(problem.nonlinearity))
 
     def _weight_total(self, cumulants) -> float:
         """Combine full-panel cumulants against the family weight function."""
@@ -262,9 +288,16 @@ class _Engine(_Frame):
             c2_j=self.zero.c2_zero,
         )
 
+    def _adomian_terms(self, corrections: list[Correction]):
+        """A_j on both panels, pushing the corrections not seen yet."""
+        left, right = self.series
+        for c in corrections[left.rank + 1:]:
+            self.a_j = left.push(c.u1.values), right.push(c.u2.values)
+        return self.a_j
+
     def step(self, corrections: list[Correction]) -> Correction:
         field = _driving_field(corrections, self.q_left, self.q_right,
-                               self.problem.nonlinearity)
+                               *self._adomian_terms(corrections))
         cumulants = self.cumulants(*field)
         lam = self._weight_total(cumulants) / self.denominator
         # the final field is the driving field minus lam times the zero
@@ -307,7 +340,9 @@ def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
     zero = corrections[0]
     mesh_left, mesh_right = zero.u1.mesh, zero.u2.mesh
     g1, g2, weighted1, weighted2 = _driving_field(
-        corrections, *_potential_on_panels(q, mesh_left, mesh_right), n)
+        corrections, *_potential_on_panels(q, mesh_left, mesh_right),
+        adomian(n, [c.u1.values for c in corrections]),
+        adomian(n, [c.u2.values for c in corrections]))
     return RhsField(
         lambda0=zero.lambda_j,
         smooth1=PanelFn(mesh_left, g1 - lambda_next * zero.u1.values),

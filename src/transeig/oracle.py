@@ -81,5 +81,6 @@ def find_eigenvalue(problem: TransmissionProblem,
     if f_hi == 0.0:
         return hi
     if f_lo * f_hi > 0.0:
-        raise ValueError(f"miss does not change sign on [{lo}, {hi}]")
+        raise ValueError(f"the shooting value u(1) does not change sign "
+                         f"on [{lo}, {hi}]")
     return float(brentq(miss, lo, hi, xtol=tol))

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdcore import FdSolution
-from .quadrature import GridFunction, cumulative_simpson, weighted_cumulative
+from .fdcore import FdSolution, _potential_on_panels
+from .quadrature import (GridFunction, PanelFn, cumulative_simpson,
+                         weighted_cumulative)
 
 
 @dataclass
@@ -31,73 +32,128 @@ class ResidualReport:
     log_value: float
 
 
-def _finish(kind: str, sol: FdSolution, nu1: np.ndarray,
+@dataclass
+class _Totals:
+    """Running sums of a solution truncated at some rank.
+
+    q1/q2 hold a smooth potential at the nodes and forcing1/forcing2 the
+    summed right-hand sides of the recursion; all four are None for the
+    singular interface weight.
+    """
+
+    rank: int
+    lam: float
+    u1: PanelFn
+    u2: PanelFn
+    du1: np.ndarray
+    du2: np.ndarray
+    forcing1: np.ndarray | None
+    forcing2: np.ndarray | None
+    q1: np.ndarray | None
+    q2: np.ndarray | None
+
+
+def _running_totals(sol: FdSolution):
+    """Yield the totals at ranks 0..m, walking the corrections once.
+
+    Every sum adds left to right from 0, as FdSolution does, so the totals
+    at rank k are those of sol.truncate(k). q is evaluated once.
+    """
+    zero = sol.corrections[0]
+    mesh1, mesh2 = zero.u1.mesh, zero.u2.mesh
+    q1, q2 = _potential_on_panels(sol.problem.potential, mesh1, mesh2)
+    smooth = q1 is not None
+    lam = u1 = u2 = du1 = du2 = 0
+    forcing1 = np.zeros_like(zero.u1.values) if smooth else None
+    forcing2 = np.zeros_like(zero.u2.values) if smooth else None
+    for k, c in enumerate(sol.corrections):
+        lam = lam + c.lambda_j
+        u1, u2 = u1 + c.u1.values, u2 + c.u2.values
+        du1, du2 = du1 + c.du1.values, du2 + c.du2.values
+        if smooth and k:
+            forcing1, forcing2 = forcing1 + c.rhs1, forcing2 + c.rhs2
+        yield _Totals(k, float(lam), PanelFn(mesh1, u1), PanelFn(mesh2, u2),
+                      du1, du2, forcing1, forcing2, q1, q2)
+
+
+def _finish(kind: str, rank: int, nu1: np.ndarray,
             nu2: np.ndarray) -> ResidualReport:
     norm1 = float(np.max(np.abs(nu1)))
     norm2 = float(np.max(np.abs(nu2)))
     combined = max(norm1, norm2)
     log_value = math.log(combined) if combined > 0.0 else -math.inf
-    return ResidualReport(kind=kind, rank=sol.rank, norm1=norm1, norm2=norm2,
+    return ResidualReport(kind=kind, rank=rank, norm1=norm1, norm2=norm2,
                           combined=combined, log_value=log_value)
 
 
-def pointwise_residual(sol: FdSolution) -> ResidualReport:
-    """Residual of the truncated approximation evaluated on the mesh."""
-    q = sol.problem.potential
-    if q.is_singular:
-        raise ValueError("pointwise residual needs a potential that is "
-                         "finite on each panel; use integrated_residual "
-                         "for a singular interface weight")
+def _pointwise(sol: FdSolution, t: _Totals) -> ResidualReport:
     nl = sol.problem.nonlinearity
-    lam = sol.lambda_total
     lam0 = sol.lambda0
-    u = sol.u_total()
     out = []
-    for panel, attr in ((u.left, "rhs1"), (u.right, "rhs2")):
-        forcing = np.zeros_like(panel.values)
-        for c in sol.corrections[1:]:
-            forcing = forcing + getattr(c, attr)
-        qx = np.asarray(q(panel.mesh.nodes), dtype=float)
+    for panel, forcing, q_nodes in ((t.u1, t.forcing1, t.q1),
+                                    (t.u2, t.forcing2, t.q2)):
         nu = (-lam0 * panel.values + forcing
-              + (lam - qx) * panel.values - nl(panel.values))
+              + (t.lam - q_nodes) * panel.values - nl(panel.values))
         out.append(nu)
-    return _finish("pointwise", sol, out[0], out[1])
+    return _finish("pointwise", t.rank, out[0], out[1])
 
 
-def integrated_residual(sol: FdSolution) -> ResidualReport:
-    """Once-antidifferentiated residual, valid for any integrable potential."""
-    q = sol.problem.potential
+def _integrated(sol: FdSolution, t: _Totals) -> ResidualReport:
     nl = sol.problem.nonlinearity
-    lam = sol.lambda_total
-    u = sol.u_total()
-    du1, du2 = sol.du_total()
+    lam = t.lam
     parts = []
-    for panel in (u.left, u.right):
+    for panel, q_nodes in ((t.u1, t.q1), (t.u2, t.q2)):
         h = panel.mesh.h
-        if q.is_singular:
+        if q_nodes is None:
             running = cumulative_simpson(lam * panel.values
                                          - nl(panel.values), h)
             running = running - weighted_cumulative(panel)
         else:
-            qx = np.asarray(q(panel.mesh.nodes), dtype=float)
-            running = cumulative_simpson((lam - qx) * panel.values
+            running = cumulative_simpson((lam - q_nodes) * panel.values
                                          - nl(panel.values), h)
         parts.append(running)
-    nu1 = du1.values - du1.values[0] + parts[0]
-    nu2 = nu1[-1] + du2.values - du2.values[0] + parts[1]
-    return _finish("integrated", sol, nu1, nu2)
+    nu1 = t.du1 - t.du1[0] + parts[0]
+    nu2 = nu1[-1] + t.du2 - t.du2[0] + parts[1]
+    return _finish("integrated", t.rank, nu1, nu2)
+
+
+def _form(sol: FdSolution):
+    return _integrated if sol.problem.potential.is_singular else _pointwise
+
+
+def _at_full_rank(sol: FdSolution, form) -> ResidualReport:
+    for totals in _running_totals(sol):
+        pass
+    return form(sol, totals)
+
+
+def pointwise_residual(sol: FdSolution) -> ResidualReport:
+    """Residual of the truncated approximation evaluated on the mesh."""
+    if sol.problem.potential.is_singular:
+        raise ValueError("pointwise residual needs a potential that is "
+                         "finite on each panel; use integrated_residual "
+                         "for a singular interface weight")
+    return _at_full_rank(sol, _pointwise)
+
+
+def integrated_residual(sol: FdSolution) -> ResidualReport:
+    """Once-antidifferentiated residual, valid for any integrable potential."""
+    return _at_full_rank(sol, _integrated)
 
 
 def residual_report(sol: FdSolution) -> ResidualReport:
     """Residual in the form appropriate for the potential's regularity."""
-    if sol.problem.potential.is_singular:
-        return integrated_residual(sol)
-    return pointwise_residual(sol)
+    return _at_full_rank(sol, _form(sol))
 
 
 def residual_by_rank(sol: FdSolution) -> list[ResidualReport]:
-    """Reports for every truncation rank 0..m of the solution."""
-    return [residual_report(sol.truncate(k)) for k in range(sol.rank + 1)]
+    """Reports for every truncation rank 0..m of the solution, in one pass.
+
+    q is evaluated at the nodes once, and row k equals
+    residual_report(sol.truncate(k)).
+    """
+    form = _form(sol)
+    return [form(sol, t) for t in _running_totals(sol)]
 
 
 def count_interior_zeros(u: GridFunction, tol: float | None = None) -> int:

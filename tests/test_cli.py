@@ -148,6 +148,17 @@ def test_validate_smooth_problem(tmp_path, capsys):
     assert "lambda_oracle" in printed
 
 
+def test_validate_from_rank_zero(tmp_path):
+    # at rank 0 the FD value of I+0 is 2.13 from the root, outside both
+    # widths around it; the bracket between neighbouring levels finds it
+    code = cli.main(["validate", "--problem", str(EX1), "--first", "6",
+                     "--rank", "0", "--mesh", "64",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    lines = (tmp_path / "out" / "validate.csv").read_text().splitlines()
+    assert len(lines) == 7
+
+
 def test_validate_refuses_singular_potential(tmp_path, capsys):
     code = cli.main(["validate", "--problem", str(EX2), "--first", "1",
                      "--out", str(tmp_path / "out")])

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from transeig.basis import ascending_branches, zero_eigenvalue
 from transeig.convergence import branch_constants
-from transeig.fdcore import (DEFAULT_MESH, FdError, RhsField, _Engine,
-                             adomian, c2_correction, fd_solve,
-                             lambda_correction, rhs_assemble, u_correction)
+from transeig.fdcore import (DEFAULT_MESH, FdError, RhsField,
+                             _AdomianSeries, _Engine, adomian, c2_correction,
+                             fd_solve, lambda_correction, rhs_assemble,
+                             u_correction)
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
                             TransmissionProblem, load_problem)
 from transeig.quadrature import PanelFn, PanelMesh
@@ -113,6 +114,59 @@ def test_adomian_empty_series():
     assert adomian(NonlinearitySpec.empty(), [2.0, 3.0]) == 0.0
     with pytest.raises(FdError):
         adomian(NonlinearitySpec.power(2), [])
+
+
+def adomian_by_rebuild(n, u_values):
+    """A_j with the series of every power u**i rebuilt from scratch.
+
+    The term k of u**(i+1) sums power[r] * u[k - r] over r = 0..k in order,
+    the arithmetic the incremental series has to keep.
+    """
+    series = list(np.stack(np.broadcast_arrays(
+        *[np.asarray(v, dtype=float) for v in u_values])))
+    j = len(series) - 1
+    out = np.zeros_like(series[0])
+    power = series
+    for i, a in enumerate(n.coeffs, start=1):
+        if a != 0.0:
+            out = out + a * power[j]
+        power = [sum((power[r] * series[k - r] for r in range(k + 1)), 0.0)
+                 for k in range(j + 1)]
+    return out
+
+
+SERIES_VALUES = st.floats(-2.0, 2.0)
+
+
+@given(coeffs=st.lists(SERIES_VALUES, min_size=1, max_size=4),
+       us=st.one_of(
+           st.lists(SERIES_VALUES, min_size=1, max_size=8),
+           st.lists(st.lists(SERIES_VALUES, min_size=3, max_size=3)
+                    .map(np.array), min_size=1, max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_series_pushes_are_adomian_bit_for_bit(coeffs, us):
+    nl = NonlinearitySpec(tuple(coeffs))
+    series = _AdomianSeries(nl)
+    for j, u in enumerate(us):
+        pushed = series.push(np.asarray(u, dtype=float))
+        assert np.array_equal(pushed, adomian(nl, us[:j + 1]))
+        assert np.array_equal(pushed, adomian_by_rebuild(nl, us[:j + 1]))
+
+
+def test_series_keeps_no_terms_of_the_top_power():
+    series = _AdomianSeries(NonlinearitySpec((0.5, 0.0, -1.0, 0.0)))
+    for _ in range(3):
+        series.push(np.ones(4))
+    assert [len(p) for p in series.powers] == [3, 3]
+
+
+def test_lambda_correction_catches_up_with_fd_solve():
+    problem, branch = load_problem(PROBLEMS / "example1.json")
+    sol = fd_solve(problem, branch, rank=4, mesh=128)
+    for j in range(4):
+        lam = lambda_correction(branch, sol.corrections[:j + 1],
+                                problem.potential, problem.nonlinearity)
+        assert lam == sol.corrections[j + 1].lambda_j
 
 
 def test_zero_potential_corrections_vanish():

@@ -1,0 +1,59 @@
+"""Byte-identical CLI outputs: sha256 of every file three commands write.
+
+The digests were recorded before the Adomian series became incremental.
+A speedup must leave them as they are. A change that is meant to move the
+numbers re-records them and says why in CHANGES.md.
+
+Each command runs from a temporary working directory with a relative
+problem path, so the JSON `problem` field does not depend on where the
+checkout lives.
+"""
+
+import hashlib
+import shutil
+from pathlib import Path
+
+import pytest
+
+from transeig import cli
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+GOLDEN = {
+    "sweep-ex1-r12": (
+        ["sweep", "--problem", "problems/example1.json", "--first", "3",
+         "--rank", "12", "--mesh", "256"],
+        {"II_1.csv": "8b9ebf3580597df6c4cf2be8dfc899f3e8dc10383dd71c974baf8ac31e6758f3",
+         "II_1.json": "81561f0350a388639015ab132244cf292ac56bb0dd363e5bb5e71c758ab41f24",
+         "I_minus_1.csv": "7c9f2a16dec7f6753fe7d57569b0bce569df8fee4bf1e8443580ffe4ed196fcf",
+         "I_minus_1.json": "75f246d2c505e15fda4acb0c45299f0770137f16ef837a96907793c911843d85",
+         "I_plus_0.csv": "6b883cf36f1249a9489a4af5e6883ba5d8d02ad90ccc7f8e2849d47645d2d558",
+         "I_plus_0.json": "b0272fe84514a3991ed16c2a6ef750b7a51a6b0164c72e63efada222309766b3",
+         "log_table.csv": "8a34aeb8872f8de32cbf92eeeb7fda702bf713512f3ed13cb48839064500638a"},
+    ),
+    "sweep-ex2-r6": (
+        ["sweep", "--problem", "problems/example2.json", "--first", "2",
+         "--rank", "6", "--mesh", "512"],
+        {"II_1.csv": "d80bace0f7976177b56aa9b0cc38c7da8677ac71a9818c381e63828515e29eca",
+         "II_1.json": "71fd496db391776907e4bc26ecafb7630215708391df63d1778425cf86c4a563",
+         "I_plus_0.csv": "bff5b024b43080ea1f1ed099c7f00f5ae4efc64f7c955b42e513bb2e61f45cb7",
+         "I_plus_0.json": "d45682b38d8b448b19f93db98ce1949d923f063d86b50d29cbda8a0b2636fc7a",
+         "log_table.csv": "2a8c6420192e674364ddddcfb5708508240c49a4a225b2bbe12adc83e3539069"},
+    ),
+    "validate-ex1-r4": (
+        ["validate", "--problem", "problems/example1.json", "--first", "2",
+         "--rank", "4", "--mesh", "256"],
+        {"validate.csv": "e0a1a7e897cb5fa745d622982d7a05f38129d389cd80dc686bd927e31228d523"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_cli_outputs_are_byte_identical(name, tmp_path, monkeypatch, capsys):
+    argv, digests = GOLDEN[name]
+    shutil.copytree(PROBLEMS, tmp_path / "problems")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out", "out"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert written == digests

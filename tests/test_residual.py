@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from transeig.fdcore import fd_solve
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
-                            TransmissionProblem)
+                            TransmissionProblem, load_problem)
 from transeig.quadrature import GridFunction, PanelFn, PanelMesh
 from transeig.residual import (ResidualReport, count_interior_zeros,
                                integrated_residual, log_table,
@@ -17,6 +18,7 @@ EX1 = TransmissionProblem(PotentialSpec.polynomial([0.0, 1.0, 3.0]),
 EX2 = TransmissionProblem(PotentialSpec.inverse_sqrt_half(),
                           NonlinearitySpec.power(2))
 B0 = BranchId("I", 0, 1)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def grid_from(callable_, m=200):
@@ -120,3 +122,16 @@ def test_report_fields_consistent():
     assert rep.rank == 2
     assert rep.combined == max(rep.norm1, rep.norm2)
     assert rep.log_value == pytest.approx(math.log(rep.combined))
+
+
+@pytest.mark.parametrize("name,kind", [("example1.json", "pointwise"),
+                                       ("example2.json", "integrated")])
+@pytest.mark.parametrize("rank", [0, 1, 6])
+def test_one_pass_table_equals_per_rank_reports(name, kind, rank):
+    problem, branch = load_problem(PROBLEMS / name)
+    sol = fd_solve(problem, branch, rank, 64)
+    table = residual_by_rank(sol)
+    assert len(table) == rank + 1
+    for k, row in enumerate(table):
+        assert row.kind == kind
+        assert vars(row) == vars(residual_report(sol.truncate(k)))
