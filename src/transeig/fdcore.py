@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .basis import zero_eigenfunction
 from .model import (BranchId, NonlinearitySpec, PotentialSpec,
                     TransmissionProblem)
-from .quadrature import (GridFunction, PanelFn, PanelMesh, cumulative_simpson,
-                         sine_sweep, weighted_trig_cumulants)
+from .quadrature import (GridFunction, PanelFn, PanelMesh, _substitution,
+                         _weighted_trig, cumulative_simpson, sine_sweep)
 
 DEFAULT_MESH = 2048
 
@@ -209,16 +210,28 @@ class _Frame:
 
     def cumulants(self, g1, g2, weighted1=None, weighted2=None):
         """Running cos/sin integrals of smooth and interface-weighted parts."""
-        h, w = self.mesh_left.h, self.omega
+        h = self.mesh_left.h
         c1 = cumulative_simpson(g1 * self.cos_left, h)
         s1 = cumulative_simpson(g1 * self.sin_left, h)
         c2 = cumulative_simpson(g2 * self.cos_right, h)
         s2 = cumulative_simpson(g2 * self.sin_right, h)
         if weighted1 is not None:
-            wc1, ws1 = weighted_trig_cumulants(weighted1, w)
-            wc2, ws2 = weighted_trig_cumulants(weighted2, w)
+            left, right = self.substituted_trig
+            wc1, ws1 = _weighted_trig(weighted1, *left)
+            wc2, ws2 = _weighted_trig(weighted2, *right)
             c1, s1, c2, s2 = c1 + wc1, s1 + ws1, c2 + wc2, s2 + ws2
         return c1, s1, c2, s2
+
+    @cached_property
+    def substituted_trig(self):
+        """cos and sin of w*x(t) at the substituted points of both panels.
+
+        Built by the first interface-weighted field and kept for the solve.
+        """
+        w = self.omega
+        return tuple((np.cos(w * xs), np.sin(w * xs))
+                     for xs in (_substitution(self.mesh_left).xs,
+                                _substitution(self.mesh_right).xs))
 
     def amplitude(self, cumulants) -> float:
         """Free amplitude from the cumulants of the final field."""

@@ -31,7 +31,11 @@ class ShotResult:
 
 def shoot(problem: TransmissionProblem, lam: float,
           tol: float = 1e-10) -> ShotResult:
-    """Integrate from x=0 with (u, u') = (0, 1) and report u(1)."""
+    """Integrate from x=0 with (u, u') = (0, 1) and report u(1).
+
+    A failed integration raises ValueError, like a bracket without a sign
+    change, so a caller can move on to its next bracket.
+    """
     q = problem.potential
     if q.is_singular:
         raise ValueError("shooting requires a potential that is finite on "
@@ -49,8 +53,8 @@ def shoot(problem: TransmissionProblem, lam: float,
         sol = solve_ivp(rhs, (a, b), state, method="DOP853",
                         rtol=tol, atol=tol * 1e-3)
         if not sol.status == 0:
-            raise RuntimeError(f"integration failed on [{a}, {b}]: "
-                               f"{sol.message}")
+            raise ValueError(f"integration failed on [{a}, {b}]: "
+                             f"{sol.message}")
         legs.append(sol)
         state = (sol.y[0, -1], sol.y[1, -1] + FLUX_JUMP)
     first, second = legs

@@ -9,6 +9,7 @@ substitution t = sqrt(|1/2 - x|) and integrates a smooth function of t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -67,28 +68,40 @@ def cumulative_simpson(values, h: float) -> NDArray[np.float64]:
     pairs = (h / 3.0) * (f[0:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
     out[2::2] = np.cumsum(pairs)
     out[1] = (h / 24.0) * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
-    k = np.arange(3, n + 1, 2)
-    out[k] = out[k - 3] + (3.0 * h / 8.0) * (
-        f[k - 3] + 3.0 * f[k - 2] + 3.0 * f[k - 1] + f[k]
+    out[3::2] = out[0:-3:2] + (3.0 * h / 8.0) * (
+        f[0:-3:2] + 3.0 * f[1:-2:2] + 3.0 * f[2:-1:2] + f[3::2]
     )
     return out
+
+
+class _Stencil:
+    """Four-point Lagrange stencils at fixed points of a uniform grid.
+
+    Locating the stencils depends only on the grid and the points; applying
+    them to node values is four products summed in order.
+    """
+
+    def __init__(self, a: float, h: float, npts: int, x):
+        xq = np.atleast_1d(np.asarray(x, dtype=float))
+        cell = np.floor((xq - a) / h).astype(int)
+        self.start = np.clip(cell - 1, 0, npts - 4)
+        t = (xq - (a + self.start * h)) / h
+        t0, t1, t2, t3 = t, t - 1.0, t - 2.0, t - 3.0
+        self.w0 = -t1 * t2 * t3 / 6.0
+        self.w1 = t0 * t2 * t3 / 2.0
+        self.w2 = -t0 * t1 * t3 / 2.0
+        self.w3 = t0 * t1 * t2 / 6.0
+
+    def __call__(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
+        s = self.start
+        return (self.w0 * f[s] + self.w1 * f[s + 1]
+                + self.w2 * f[s + 2] + self.w3 * f[s + 3])
 
 
 def interp_uniform(a: float, h: float, values: NDArray, x) -> NDArray[np.float64]:
     """Local cubic (four-point Lagrange) interpolation on a uniform grid."""
     f = np.asarray(values, dtype=float)
-    xq = np.atleast_1d(np.asarray(x, dtype=float))
-    npts = f.size
-    cell = np.floor((xq - a) / h).astype(int)
-    start = np.clip(cell - 1, 0, npts - 4)
-    t = (xq - (a + start * h)) / h
-    t0, t1, t2, t3 = t, t - 1.0, t - 2.0, t - 3.0
-    w0 = -t1 * t2 * t3 / 6.0
-    w1 = t0 * t2 * t3 / 2.0
-    w2 = -t0 * t1 * t3 / 2.0
-    w3 = t0 * t1 * t2 / 6.0
-    out = (w0 * f[start] + w1 * f[start + 1]
-           + w2 * f[start + 2] + w3 * f[start + 3])
+    out = _Stencil(a, h, f.size, x)(f)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -142,31 +155,42 @@ class GridFunction:
         return max(self.left.sup, self.right.sup)
 
 
-def _substitution(mesh: PanelMesh):
-    """t = sqrt(|1/2 - s|) on one panel.
+class _Substitution:
+    """t = sqrt(|1/2 - s|) on one panel, located once per mesh.
 
-    Returns the step of the uniform t-mesh, the points x(t) on it, and the
-    value of t at each panel node.
+    Holds the step of the uniform t-mesh, the points x(t) on it, and the
+    cubic stencils at the value of t of each panel node.
     """
-    t_top = sqrt(mesh.b - mesh.a)
-    t = np.linspace(0.0, t_top, mesh.m + 1)
-    xs = INTERFACE - t * t if mesh.panel == "left" else INTERFACE + t * t
-    return t_top / mesh.m, xs, np.sqrt(np.abs(INTERFACE - mesh.nodes))
+
+    def __init__(self, mesh: PanelMesh):
+        t_top = sqrt(mesh.b - mesh.a)
+        t = np.linspace(0.0, t_top, mesh.m + 1)
+        self.left = mesh.panel == "left"
+        self.ht = t_top / mesh.m
+        self.xs = INTERFACE - t * t if self.left else INTERFACE + t * t
+        self.xs.flags.writeable = False
+        self.back = _Stencil(0.0, self.ht, mesh.m + 1,
+                             np.sqrt(np.abs(INTERFACE - mesh.nodes)))
+
+    def running(self, psi) -> NDArray[np.float64]:
+        """Running integral at the panel nodes of a transformed integrand.
+
+        psi(t) is integrated on the uniform t-mesh and the running t-integral
+        is mapped back to the nodes by the cubic stencils.
+        """
+        big_psi = cumulative_simpson(psi, self.ht)
+        if self.left:
+            out = 2.0 * (big_psi[-1] - self.back(big_psi))
+        else:
+            out = 2.0 * self.back(big_psi)
+        out[0] = 0.0
+        return out
 
 
-def _running_from_t(psi, ht: float, tau, panel: str) -> NDArray[np.float64]:
-    """Running integral at the panel nodes of a transformed integrand psi(t).
-
-    psi is integrated on the uniform t-mesh and mapped back to the nodes by
-    cubic interpolation of the running t-integral at tau.
-    """
-    big_psi = cumulative_simpson(psi, ht)
-    if panel == "left":
-        out = 2.0 * (big_psi[-1] - interp_uniform(0.0, ht, big_psi, tau))
-    else:
-        out = 2.0 * interp_uniform(0.0, ht, big_psi, tau)
-    out[0] = 0.0
-    return out
+@lru_cache(maxsize=4)
+def _substitution(mesh: PanelMesh) -> _Substitution:
+    """The substitution of a panel mesh; both panels of two meshes fit."""
+    return _Substitution(mesh)
 
 
 def weighted_cumulative(g: PanelFn) -> NDArray[np.float64]:
@@ -175,8 +199,15 @@ def weighted_cumulative(g: PanelFn) -> NDArray[np.float64]:
     The interface weight is removed by t = sqrt(|1/2 - s|): the transformed
     integrand g(x(t)) is smooth in t.
     """
-    ht, xs, tau = _substitution(g.mesh)
-    return _running_from_t(g(xs), ht, tau, g.mesh.panel)
+    sub = _substitution(g.mesh)
+    return sub.running(g(sub.xs))
+
+
+def _weighted_trig(g: PanelFn, cos_xs, sin_xs):
+    """weighted_trig_cumulants given cos(w*x) and sin(w*x) at the x(t)."""
+    sub = _substitution(g.mesh)
+    gx = g(sub.xs)
+    return sub.running(gx * cos_xs), sub.running(gx * sin_xs)
 
 
 def weighted_trig_cumulants(g: PanelFn, w: float):
@@ -185,10 +216,8 @@ def weighted_trig_cumulants(g: PanelFn, w: float):
     g is interpolated once at the transformed points; the trigonometric
     factors are evaluated there exactly.
     """
-    ht, xs, tau = _substitution(g.mesh)
-    gx = g(xs)
-    return (_running_from_t(gx * np.cos(w * xs), ht, tau, g.mesh.panel),
-            _running_from_t(gx * np.sin(w * xs), ht, tau, g.mesh.panel))
+    xs = _substitution(g.mesh).xs
+    return _weighted_trig(g, np.cos(w * xs), np.sin(w * xs))
 
 
 def sine_sweep(cosx, sinx, c_part, s_part, w: float):

@@ -266,3 +266,19 @@ def test_json_is_sorted_and_finite(tmp_path):
     payload = json.loads(text)
     assert list(payload) == sorted(payload)
     assert "NaN" not in text and "Infinity" not in text
+
+
+def test_validate_reports_a_failed_oracle_integration(tmp_path, capsys):
+    # a stiff cubic N makes the shooting integrator give up
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({
+        "potential": {"kind": "polynomial", "coeffs": [0.0]},
+        "nonlinearity": {"coeffs_from_degree_1": [0.0, 0.0, 1e6]}}))
+    code = cli.main(["validate", "--problem", str(path), "--first", "1",
+                     "--rank", "2", "--mesh", "64",
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "integration failed" in err
+    assert "Traceback" not in err

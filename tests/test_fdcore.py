@@ -14,6 +14,7 @@ from transeig.fdcore import (DEFAULT_MESH, FdError, RhsField,
                              u_correction)
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
                             TransmissionProblem, load_problem)
+from transeig import quadrature
 from transeig.quadrature import PanelFn, PanelMesh
 
 EX1 = TransmissionProblem(PotentialSpec.polynomial([0.0, 1.0, 3.0]),
@@ -349,3 +350,32 @@ def test_fd_solve_argument_validation():
     with pytest.raises(FdError):
         fd_solve(EX1, B0, rank=1, mesh=63)
     assert DEFAULT_MESH % 2 == 0
+
+
+def _correction_arrays(sol):
+    return [(c.lambda_j, c.c2_j, c.u1.values, c.u2.values, c.du1.values,
+             c.du2.values) for c in sol.corrections]
+
+
+def test_cached_substitution_serves_each_mesh_its_own():
+    quadrature._substitution.cache_clear()
+    first = _correction_arrays(fd_solve(EX2, B0, 8, 64))
+    fd_solve(EX2, B0, 8, 128)
+    last = _correction_arrays(fd_solve(EX2, B0, 8, 64))
+    for a, b in zip(first, last):
+        assert a[0] == b[0] and a[1] == b[1]
+        assert all(np.array_equal(x, y) for x, y in zip(a[2:], b[2:]))
+
+
+def test_weighted_step_interpolates_only_off_the_nodes(monkeypatch):
+    # one g(x(t)) per panel and step; the back map uses cached stencils
+    calls = []
+    original = quadrature.interp_uniform
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "interp_uniform", counted)
+    fd_solve(EX2, B0, 8, 64)
+    assert len(calls) == 16

@@ -1,8 +1,10 @@
-"""Byte-identical CLI outputs: sha256 of every file three commands write.
+"""Byte-identical CLI outputs: sha256 of every file four commands write.
 
-The digests were recorded before the Adomian series became incremental.
-A speedup must leave them as they are. A change that is meant to move the
-numbers re-records them and says why in CHANGES.md.
+The digests were recorded before the Adomian series became incremental;
+those of the ex2 acceptance sweep (rank 8, M=16384) before the weighted
+rule cached its back-map stencils. A speedup must leave them as they
+are. A change that is meant to move the numbers re-records them and says
+why in CHANGES.md.
 
 Each command runs from a temporary working directory with a relative
 problem path, so the JSON `problem` field does not depend on where the
@@ -39,6 +41,19 @@ GOLDEN = {
          "I_plus_0.csv": "bff5b024b43080ea1f1ed099c7f00f5ae4efc64f7c955b42e513bb2e61f45cb7",
          "I_plus_0.json": "d45682b38d8b448b19f93db98ce1949d923f063d86b50d29cbda8a0b2636fc7a",
          "log_table.csv": "2a8c6420192e674364ddddcfb5708508240c49a4a225b2bbe12adc83e3539069"},
+    ),
+    "sweep-ex2-r8-m16384": (
+        ["sweep", "--problem", "problems/example2.json", "--first", "4",
+         "--rank", "8", "--mesh", "16384"],
+        {"II_1.csv": "bc2bec7d80078d5d7a5cf822075a71a5116a3547ad29dac09b9e299efbe481b3",
+         "II_1.json": "5a96d6f69fc722acb6de30e1ee8887f107f3a5e5c6f29b34be0243348d0eb119",
+         "II_2.csv": "826afe005dfa4b1683af3baad6faa04ed5214d87215e88857981b251decefdb3",
+         "II_2.json": "066115b953895043f9c487dfe62c61ee6e6bb7b0e87506fd4d0efc20661714b5",
+         "I_minus_1.csv": "4a3132ef6e8c77fcaaaeeea2fd471c193a675f943fd9abe9eebdfa59bee4beba",
+         "I_minus_1.json": "b762717bb63c674d2e50130f2e52f21d0975bc388fb595456d205b2331ca1127",
+         "I_plus_0.csv": "02bdd15c4e59cb6f4f49ff57647ed76c47a1dc2c244a965abfcdbe6826a43b0a",
+         "I_plus_0.json": "df6e44d0147f0fa4727f26b57c01114369860796b42e0c2ce9303ab3372ee286",
+         "log_table.csv": "e003679e6d3a96a9636ae96295c7fe3a9508c95078a1ad7ad328ee7097b0c460"},
     ),
     "validate-ex1-r4": (
         ["validate", "--problem", "problems/example1.json", "--first", "2",

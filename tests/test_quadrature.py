@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transeig.quadrature import (GridFunction, PanelFn, PanelMesh,
-                                 QuadratureError, cumulative_simpson,
-                                 interp_uniform, kernel_convolution,
-                                 weighted_cumulative, weighted_trig_cumulants)
+                                 QuadratureError, _substitution,
+                                 cumulative_simpson, interp_uniform,
+                                 kernel_convolution, weighted_cumulative,
+                                 weighted_trig_cumulants)
 
 
 def cubic(x):
@@ -51,6 +52,23 @@ def test_cumulative_simpson_matches_weight_matrix():
     vals = rng.uniform(-1.0, 1.0, mesh.m + 1)
     w = prefix_weight_matrix(mesh.m, mesh.h)
     assert np.max(np.abs(cumulative_simpson(vals, mesh.h) - w @ vals)) < 1e-14
+
+
+@given(half=st.integers(2, 256), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_cumulative_simpson_equals_the_gathered_formula(half, seed):
+    # the odd prefixes as an arange gather, bit for bit
+    m = 2 * half
+    h = 0.5 / m
+    f = np.random.default_rng(seed).uniform(-1.0, 1.0, m + 1)
+    ref = np.empty_like(f)
+    ref[0] = 0.0
+    ref[2::2] = np.cumsum((h / 3.0) * (f[0:-2:2] + 4.0 * f[1:-1:2] + f[2::2]))
+    ref[1] = (h / 24.0) * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
+    k = np.arange(3, m + 1, 2)
+    ref[k] = ref[k - 3] + (3.0 * h / 8.0) * (
+        f[k - 3] + 3.0 * f[k - 2] + 3.0 * f[k - 1] + f[k])
+    assert np.array_equal(cumulative_simpson(f, h), ref)
 
 
 def test_sine_integral_value():
@@ -161,6 +179,29 @@ def test_weighted_rule_prefix_values_against_substituted_quadrature():
                 substituted(lambda x: math.cos(w * x)), abs=1e-9)
             assert s_run[idx] == pytest.approx(
                 substituted(lambda x: math.sin(w * x)), abs=1e-9)
+
+
+@given(half=st.integers(2, 256), panel=st.sampled_from(["left", "right"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_cached_back_map_is_interp_uniform(half, panel, seed):
+    mesh = PanelMesh(panel, 2 * half)
+    sub = _substitution(mesh)
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.m + 1)
+    tau = np.sqrt(np.abs(0.5 - mesh.nodes))
+    assert np.array_equal(sub.back(values),
+                          interp_uniform(0.0, sub.ht, values, tau))
+
+
+@pytest.mark.parametrize("panel", ["left", "right"])
+def test_substitution_belongs_to_its_panel(panel):
+    mesh = PanelMesh(panel, 16)
+    sub = _substitution(mesh)
+    assert sub is _substitution(PanelMesh(panel, 16))
+    assert sub.ht == math.sqrt(0.5) / 16
+    far = mesh.a if panel == "left" else mesh.b
+    assert sub.xs[0] == 0.5 and sub.xs[-1] == pytest.approx(far, abs=1e-15)
+    assert not sub.xs.flags.writeable
 
 
 def test_weighted_rule_fourth_order():
