@@ -30,7 +30,7 @@ class ModelError(ValueError):
     """Invalid problem description."""
 
 
-def _horner(coeffs, x):
+def horner(coeffs, x):
     """sum_k coeffs[k] x**k by Horner's rule, in numpy.polynomial's order."""
     acc = 0.0
     for c in reversed(coeffs):
@@ -85,7 +85,7 @@ class PotentialSpec:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "polynomial":
-            return _horner(self.coeffs, x)
+            return horner(self.coeffs, x)
         if self.kind == "inverse_sqrt_half":
             with np.errstate(divide="ignore"):
                 return np.abs(INTERFACE - x) ** -0.5
@@ -153,7 +153,7 @@ class NonlinearitySpec:
 
     def __call__(self, u):
         """N(u) for scalar or array u."""
-        out = _horner((0.0,) + self.coeffs, np.asarray(u, dtype=float))
+        out = horner((0.0,) + self.coeffs, np.asarray(u, dtype=float))
         return out if out.ndim else float(out)
 
     def majorant_spec(self) -> "NonlinearitySpec":
@@ -166,7 +166,7 @@ class NonlinearitySpec:
     def majorant_derivative(self, u):
         """d/du of the majorant series, sum i*|a_i|*u**(i-1)."""
         slopes = [i * abs(a) for i, a in enumerate(self.coeffs, start=1)]
-        out = _horner(slopes or [0.0], np.asarray(u, dtype=float))
+        out = horner(slopes or [0.0], np.asarray(u, dtype=float))
         return out if out.ndim else float(out)
 
 

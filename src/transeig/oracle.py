@@ -15,7 +15,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .model import FLUX_JUMP, INTERFACE, SLOPE_AT_ZERO, TransmissionProblem
+from .model import (FLUX_JUMP, INTERFACE, SLOPE_AT_ZERO, TransmissionProblem,
+                    horner)
 
 
 @dataclass
@@ -41,11 +42,17 @@ def shoot(problem: TransmissionProblem, lam: float,
         raise ValueError("shooting requires a potential that is finite on "
                          "each panel; validate singular problems through "
                          "the integrated residual instead")
-    nl = problem.nonlinearity
+    # The model's Horner rule on Python floats: the operands and order of
+    # PotentialSpec/NonlinearitySpec.__call__, so every shot is bit-identical,
+    # without a 0-d numpy array per multiply and add.
+    poly = q.coeffs if q.kind == "polynomial" else None
+    n = (0.0,) + problem.nonlinearity.coeffs
 
     def rhs(x, y):
         u, du = y
-        return (du, (float(q(x)) - lam) * u + nl(u))
+        x, u = float(x), float(u)
+        qx = horner(poly, x) if poly is not None else float(q(x))
+        return (du, (qx - lam) * u + horner(n, u))
 
     legs = []
     state = (0.0, SLOPE_AT_ZERO)
@@ -76,8 +83,13 @@ def find_eigenvalue(problem: TransmissionProblem,
         raise ValueError("bracket must satisfy lo < hi")
     shot_tol = max(tol, 1e-13)
 
+    shots: dict[float, float] = {}
+
     def miss(lam: float) -> float:
-        return shoot(problem, lam, tol=shot_tol).miss
+        # brentq starts from the two bracket ends the sign check has shot
+        if lam not in shots:
+            shots[lam] = shoot(problem, lam, tol=shot_tol).miss
+        return shots[lam]
 
     f_lo, f_hi = miss(lo), miss(hi)
     if f_lo == 0.0:

@@ -1,9 +1,10 @@
-"""Byte-identical CLI outputs: sha256 of every file four commands write.
+"""Byte-identical CLI outputs: sha256 of every file six commands write.
 
 The digests were recorded before the Adomian series became incremental;
 those of the ex2 acceptance sweep (rank 8, M=16384) before the weighted
-rule cached its back-map stencils. A speedup must leave them as they
-are. A change that is meant to move the numbers re-records them and says
+rule cached its back-map stencils; those of the two rank-6 / cubic
+`validate` commands before the oracle's right-hand side moved to Python
+floats. A speedup must leave them as they are. A change that is meant to move the numbers re-records them and says
 why in CHANGES.md.
 
 Each command runs from a temporary working directory with a relative
@@ -12,6 +13,7 @@ checkout lives.
 """
 
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
@@ -20,6 +22,11 @@ import pytest
 from transeig import cli
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+#: Cubic q and three-term N, written next to the shipped problems so the
+#: oracle's polynomial evaluation is pinned beyond ex1's q = x + 3x², N = u².
+CUBIC = {"potential": {"kind": "polynomial", "coeffs": [1.0, -4.0, 7.0, 2.5]},
+         "nonlinearity": {"coeffs_from_degree_1": [0.5, -2.0, 3.0]}}
 
 GOLDEN = {
     "sweep-ex1-r12": (
@@ -60,6 +67,16 @@ GOLDEN = {
          "--rank", "4", "--mesh", "256"],
         {"validate.csv": "e0a1a7e897cb5fa745d622982d7a05f38129d389cd80dc686bd927e31228d523"},
     ),
+    "validate-ex1-r6": (
+        ["validate", "--problem", "problems/example1.json", "--first", "6",
+         "--rank", "6"],
+        {"validate.csv": "7c1e0b5444ba4162fc658a21659e753d366e165bfa829a040e46a1f869285969"},
+    ),
+    "validate-cubic-r4": (
+        ["validate", "--problem", "problems/cubic.json", "--first", "3",
+         "--rank", "4", "--mesh", "256"],
+        {"validate.csv": "290ae99778535fdd18f542c632e8e4eee10cb698efa0eeeacabaa972e3a0bf08"},
+    ),
 }
 
 
@@ -67,6 +84,7 @@ GOLDEN = {
 def test_cli_outputs_are_byte_identical(name, tmp_path, monkeypatch, capsys):
     argv, digests = GOLDEN[name]
     shutil.copytree(PROBLEMS, tmp_path / "problems")
+    (tmp_path / "problems" / "cubic.json").write_text(json.dumps(CUBIC))
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv + ["--out", "out"]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transeig.model import (BranchId, ModelError, NonlinearitySpec,
-                            PotentialSpec, TransmissionProblem, l1_norm,
-                            load_problem)
+                            PotentialSpec, TransmissionProblem, horner,
+                            l1_norm, load_problem)
 
 
 def test_zero_potential_norm():
@@ -101,6 +101,14 @@ def test_polynomials_evaluate_as_polyval(c, x):
     assert np.array_equal(NonlinearitySpec(c)(x), polyval(x, [0.0, *c]))
     assert np.array_equal(NonlinearitySpec(c).majorant_derivative(abs(x)),
                           polyval(abs(x), slopes))
+
+
+@given(c=COEFFS, x=st.floats(-10.0, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_horner_on_a_float_is_horner_on_a_0d_array(c, x):
+    # the shooting oracle's right-hand side relies on this, bit for bit
+    assert horner(c, x).hex() == float(PotentialSpec.polynomial(c)(x)).hex()
+    assert horner((0.0, *c), x).hex() == NonlinearitySpec(c)(x).hex()
 
 
 def test_branch_canonicalization():

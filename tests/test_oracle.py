@@ -1,12 +1,20 @@
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+from transeig import oracle
 from transeig.fdcore import fd_solve
-from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
-                            TransmissionProblem)
+from transeig.model import (FLUX_JUMP, INTERFACE, SLOPE_AT_ZERO, BranchId,
+                            NonlinearitySpec, PotentialSpec,
+                            TransmissionProblem, load_problem)
 from transeig.oracle import find_eigenvalue, shoot
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 FREE = TransmissionProblem(PotentialSpec.zero())
 
 
@@ -87,3 +95,83 @@ def test_oracle_handles_nonlinearity():
     lam = find_eigenvalue(problem, (sol.lambda_total - 0.5,
                                     sol.lambda_total + 0.5))
     assert lam == pytest.approx(sol.lambda_total, abs=1e-6)
+
+
+def shoot_by_arrays(problem, lam, tol=1e-10):
+    """shoot with q and N evaluated through their __call__ on 0-d arrays.
+
+    The right-hand side the float one has to reproduce bit for bit.
+    """
+    q, nl = problem.potential, problem.nonlinearity
+
+    def rhs(x, y):
+        u, du = y
+        return (du, (float(q(x)) - lam) * u + nl(u))
+
+    legs = []
+    state = (0.0, SLOPE_AT_ZERO)
+    for a, b in ((0.0, INTERFACE), (INTERFACE, 1.0)):
+        sol = solve_ivp(rhs, (a, b), state, method="DOP853",
+                        rtol=tol, atol=tol * 1e-3)
+        assert sol.status == 0
+        legs.append(sol)
+        state = (sol.y[0, -1], sol.y[1, -1] + FLUX_JUMP)
+    first, second = legs
+    return oracle.ShotResult(
+        miss=float(second.y[0, -1]),
+        x=np.concatenate([first.t, second.t]),
+        u=np.concatenate([first.y[0], second.y[0]]),
+        du=np.concatenate([first.y[1], second.y[1]]),
+        nfev=first.nfev + second.nfev,
+    )
+
+
+def assert_same_shot(got, want):
+    assert got.miss == want.miss
+    assert got.nfev == want.nfev
+    for name in ("x", "u", "du"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@given(q=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+       n=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=4),
+       lam=st.floats(5.0, 400.0))
+@settings(max_examples=25, deadline=None)
+def test_float_rhs_shoots_as_the_array_rhs(q, n, lam):
+    problem = TransmissionProblem(PotentialSpec.polynomial(q),
+                                  NonlinearitySpec(tuple(n)))
+    assert_same_shot(shoot(problem, lam), shoot_by_arrays(problem, lam))
+
+
+def test_tabulated_potential_shoots_as_the_array_rhs():
+    q = PotentialSpec.tabulated(lambda x: np.exp(x) * np.cos(3.0 * x))
+    problem = TransmissionProblem(q, NonlinearitySpec.power(2))
+    for lam in (12.0, 87.5):
+        assert_same_shot(shoot(problem, lam, tol=1e-12),
+                         shoot_by_arrays(problem, lam, tol=1e-12))
+
+
+@pytest.fixture
+def shot_lambdas(monkeypatch):
+    """Every λ that oracle.shoot is called with, in order."""
+    lams = []
+    real = oracle.shoot
+
+    def counted(problem, lam, tol=1e-10):
+        lams.append(lam)
+        return real(problem, lam, tol)
+
+    monkeypatch.setattr(oracle, "shoot", counted)
+    return lams
+
+
+def test_find_eigenvalue_shoots_each_lambda_once(shot_lambdas):
+    problem, branch = load_problem(PROBLEMS / "example1.json")
+    lam_fd = fd_solve(problem, branch, rank=6).lambda_total
+    # the first bracket `validate` tries for I+0, at its default --tol
+    find_eigenvalue(problem, (lam_fd - 0.5, lam_fd + 0.5), tol=1e-10)
+    assert len(shot_lambdas) == len(set(shot_lambdas)) == 7
+    for bracket in ((15.0, 20.0), (20.0, 60.0)):
+        shot_lambdas.clear()
+        find_eigenvalue(FREE, bracket)
+        assert len(shot_lambdas) == len(set(shot_lambdas))
