@@ -9,8 +9,10 @@ w_j = vbar_j * gamma**j with an adaptively tightened gamma; ratios of
 consecutive terms are exact in either form.
 
 The report takes R from the branch point of the inverse generating
-function, exact when N is absent and conservative otherwise; the ratio test
-approaches R from above and stays a library cross-check.
+function, exact when N is absent and conservative otherwise: the largest
+value of the inverse map at the real roots of its critical-point
+polynomial. The ratio test approaches R from above and stays a library
+cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from numpy.polynomial import polynomial as P
 
 from .basis import zero_eigenvalue
 from .fdcore import adomian
@@ -166,32 +168,39 @@ def branch_point_radius(q_norm: float,
                         nbar: NonlinearitySpec | None) -> float:
     """Radius from the branch point of the inverse generating function.
 
-    The inverse map z(f) rises from 0 at f = v0 and turns over at the
-    square-root branch point; the maximum over f > v0 is the radius. In the
-    linear case this reproduces radius_linear exactly.
+    The inverse map z(g) = (g - g**2) / ((1 + v0) * D(g)), with f = v0 + g
+    and D(g) = q * f + shift + Nbar(f) a polynomial with non-negative
+    coefficients, rises from 0 at g = 0 and turns over at the square-root
+    branch point. R is its largest value at the real parts of the roots in
+    (0, 1) of the critical polynomial (1 - 2g) D - (g - g**2) D'; z never
+    exceeds R on (0, 1), so a spurious candidate cannot raise it. The
+    linear case is radius_linear.
     """
     if q_norm < 0.0:
         raise ValueError("potential norm must be non-negative")
-    bar = None
-    if nbar is not None and not nbar.is_empty:
-        bar = nbar.majorant_spec()
-    if q_norm == 0.0 and bar is None:
-        return math.inf
-
-    shift = bar.majorant_derivative(V0) * V0 - bar.majorant(V0) \
-        if bar is not None else 0.0
-
-    def negative_z(g: float) -> float:
-        f = V0 + g
-        denom = q_norm * f + shift
-        if bar is not None:
-            denom += bar.majorant(f)
-        return -(g - g * g) / ((1.0 + V0) * denom)
-
-    result = minimize_scalar(negative_z, bounds=(1e-12, 1.0 - 1e-12),
-                             method="bounded",
-                             options={"xatol": 1e-13})
-    return float(-result.fun)
+    if nbar is None or nbar.is_empty:
+        return radius_linear(q_norm)
+    bar = nbar.majorant_spec()
+    shift = bar.majorant_derivative(V0) * V0 - bar.majorant(V0)
+    # D(g) = Nbar(v0 + g) by Horner's rule on coefficient arrays, + q*f + shift
+    denom = np.zeros(1)
+    for a in reversed((0.0,) + bar.coeffs):
+        denom = np.convolve(denom, (V0, 1.0))
+        denom[0] += a
+    denom[:2] += (q_norm * V0 + shift, q_norm)
+    crit = (np.convolve((1.0, -2.0), denom)
+            - np.convolve((0.0, 1.0, -1.0), P.polyder(denom)))
+    # drop leading coefficients at roundoff level: a subnormal one
+    # overflows the companion matrix
+    crit = P.polytrim(crit, np.finfo(float).eps * np.abs(crit).max())
+    g = P.polyroots(crit).real
+    g = g[(g > 0.0) & (g < 1.0)]
+    if not g.size:
+        raise ValueError("the inverse generating function has no critical "
+                         "point in (0, 1)")
+    f = V0 + g
+    z = (g - g * g) / ((1.0 + V0) * (q_norm * f + shift + bar.majorant(f)))
+    return float(z.max())
 
 
 @dataclass

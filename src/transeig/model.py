@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 INTERFACE = 0.5
 
@@ -109,6 +108,7 @@ def l1_norm(q: PotentialSpec) -> float:
         return float(4.0 * math.sqrt(INTERFACE))
     if q.tabulated_l1 is not None:
         return float(q.tabulated_l1)
+    from scipy.integrate import quad
     value, err = quad(lambda x: abs(float(q(x))), 0.0, 1.0,
                       points=[INTERFACE], limit=200)
     if not math.isfinite(value) or err > 1e-6 * max(1.0, abs(value)):

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .model import (FLUX_JUMP, INTERFACE, SLOPE_AT_ZERO, TransmissionProblem,
                     horner)
@@ -37,6 +35,7 @@ def shoot(problem: TransmissionProblem, lam: float,
     A failed integration raises ValueError, like a bracket without a sign
     change, so a caller can move on to its next bracket.
     """
+    from scipy.integrate import solve_ivp
     q = problem.potential
     if q.is_singular:
         raise ValueError("shooting requires a potential that is finite on "
@@ -78,6 +77,7 @@ def find_eigenvalue(problem: TransmissionProblem,
                     bracket: tuple[float, float],
                     tol: float = 1e-12) -> float:
     """Root of the miss function on the bracket."""
+    from scipy.optimize import brentq
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from transeig.residual import count_interior_zeros
 
 EX1 = Path(__file__).resolve().parent.parent / "problems" / "example1.json"
 EX2 = Path(__file__).resolve().parent.parent / "problems" / "example2.json"
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def write_free_problem(tmp_path, branch=None):
@@ -146,6 +150,35 @@ def test_validate_smooth_problem(tmp_path, capsys):
     assert max(diffs) < 1e-6
     printed = capsys.readouterr().out
     assert "lambda_oracle" in printed
+
+
+def scipy_modules_at_exit(code: str) -> list[str]:
+    """The scipy* modules a fresh interpreter holds after running code."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    script = (code + "\nimport json, sys\nprint(json.dumps(sorted("
+              "m for m in sys.modules if m.startswith('scipy'))))")
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", [["sweep", "--first", "2"], ["solve"],
+                                     ["validate", "--first", "2"]],
+                         ids=lambda c: c[0])
+def test_only_validate_imports_scipy(tmp_path, command):
+    argv = command + ["--problem", str(EX1), "--rank", "2", "--mesh", "64",
+                      "--out", str(tmp_path / "out")]
+    loaded = scipy_modules_at_exit(
+        f"from transeig import cli\nassert cli.main({argv!r}) == 0")
+    # the shooting oracle is the one caller of scipy's integrator and root
+    # finder, so validate is the control that shows the check sees them
+    assert bool(loaded) == (command[0] == "validate")
+
+
+def test_bare_import_loads_no_scipy():
+    assert scipy_modules_at_exit("import transeig") == []
 
 
 def test_validate_from_rank_zero(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from transeig.basis import zero_eigenvalue
 from transeig.convergence import (V0, ConvergenceReport, branch_constants,
@@ -218,6 +219,56 @@ def test_reported_radius_is_the_conservative_one(q_norm, coeffs):
     assert rep.radius == branch_point_radius(q_norm, nbar)
     ratio_test = estimate_radius_nonlinear(majorant_sequence(q_norm, nbar, 40))
     assert rep.radius <= ratio_test
+
+
+def radius_by_bounded_search(q_norm, nbar):
+    """The branch point as a bounded search for the maximum of z(g)."""
+    bar = None if nbar.is_empty else nbar.majorant_spec()
+    if q_norm == 0.0 and bar is None:
+        return math.inf
+    shift = bar.majorant_derivative(V0) * V0 - bar.majorant(V0) \
+        if bar is not None else 0.0
+
+    def negative_z(g):
+        f = V0 + g
+        denom = q_norm * f + shift
+        if bar is not None:
+            denom += bar.majorant(f)
+        return -(g - g * g) / ((1.0 + V0) * denom)
+
+    result = minimize_scalar(negative_z, bounds=(1e-12, 1.0 - 1e-12),
+                             method="bounded", options={"xatol": 1e-13})
+    return float(-result.fun)
+
+
+# Subnormal inputs stay out (the property above draws subnormal
+# coefficients): with nothing larger beside them they put R past the float
+# range, where the search's numpy scalars overflow.
+COEFF = st.one_of(st.floats(-3.0, 3.0, allow_subnormal=False), st.just(0.0),
+                  st.sampled_from([1e-300, -1e-300, 1e-12, -1e-12]))
+
+
+@given(q_norm=st.floats(0.0, 20.0, allow_subnormal=False),
+       coeffs=st.lists(COEFF, min_size=0, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_radius_matches_bounded_search(q_norm, coeffs):
+    nbar = NonlinearitySpec(tuple(coeffs))
+    want = radius_by_bounded_search(q_norm, nbar)
+    got = branch_point_radius(q_norm, nbar)
+    assert got == want or abs(got - want) <= 2e-15 * want
+
+
+def test_radius_with_subnormal_leading_coefficient():
+    nbar = NonlinearitySpec((0.0, 0.0, 2.225e-311))
+    assert branch_point_radius(1.0, nbar) == pytest.approx(
+        radius_linear(1.0), rel=1e-15)
+
+
+def test_radius_without_critical_point_raises(monkeypatch):
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots",
+                        lambda c: np.array([-0.5, 1.5 + 0.0j]))
+    with pytest.raises(ValueError, match="no critical point"):
+        branch_point_radius(1.0, SQUARE)
 
 
 def test_state_ratios_follow_storage():

@@ -4,8 +4,12 @@ The digests were recorded before the Adomian series became incremental;
 those of the ex2 acceptance sweep (rank 8, M=16384) before the weighted
 rule cached its back-map stencils; those of the two rank-6 / cubic
 `validate` commands before the oracle's right-hand side moved to Python
-floats. A speedup must leave them as they are. A change that is meant to move the numbers re-records them and says
-why in CHANGES.md.
+floats. The JSON digests of the three sweeps were re-recorded when the
+majorant radius R moved from a bounded numerical search to the roots of
+its critical-point polynomial: `convergence.radius`, `ratio` and
+`decay_factors` moved in the last bits, every other byte stayed. A
+speedup must leave the digests as they are. A change that is meant to
+move the numbers re-records them and says why in CHANGES.md.
 
 Each command runs from a temporary working directory with a relative
 problem path, so the JSON `problem` field does not depend on where the
@@ -33,33 +37,33 @@ GOLDEN = {
         ["sweep", "--problem", "problems/example1.json", "--first", "3",
          "--rank", "12", "--mesh", "256"],
         {"II_1.csv": "8b9ebf3580597df6c4cf2be8dfc899f3e8dc10383dd71c974baf8ac31e6758f3",
-         "II_1.json": "81561f0350a388639015ab132244cf292ac56bb0dd363e5bb5e71c758ab41f24",
+         "II_1.json": "0e589a3ab0e0eb3346a8f65e4c3754729ecfe6ff6c97d867b98d9d335f9277dd",
          "I_minus_1.csv": "7c9f2a16dec7f6753fe7d57569b0bce569df8fee4bf1e8443580ffe4ed196fcf",
-         "I_minus_1.json": "75f246d2c505e15fda4acb0c45299f0770137f16ef837a96907793c911843d85",
+         "I_minus_1.json": "2491c859f38e3c9559f99b559d9dff1dc1d1dcd8b9b99cf483ea1d3745087ca8",
          "I_plus_0.csv": "6b883cf36f1249a9489a4af5e6883ba5d8d02ad90ccc7f8e2849d47645d2d558",
-         "I_plus_0.json": "b0272fe84514a3991ed16c2a6ef750b7a51a6b0164c72e63efada222309766b3",
+         "I_plus_0.json": "9d84f604e437cd22c710bc160baeb27669d32271c28969a10184f86eebee5cbc",
          "log_table.csv": "8a34aeb8872f8de32cbf92eeeb7fda702bf713512f3ed13cb48839064500638a"},
     ),
     "sweep-ex2-r6": (
         ["sweep", "--problem", "problems/example2.json", "--first", "2",
          "--rank", "6", "--mesh", "512"],
         {"II_1.csv": "d80bace0f7976177b56aa9b0cc38c7da8677ac71a9818c381e63828515e29eca",
-         "II_1.json": "71fd496db391776907e4bc26ecafb7630215708391df63d1778425cf86c4a563",
+         "II_1.json": "b0738c744e1d4e021578f983e078f1f90e5c3ee770e54aaffd59b88136e76618",
          "I_plus_0.csv": "bff5b024b43080ea1f1ed099c7f00f5ae4efc64f7c955b42e513bb2e61f45cb7",
-         "I_plus_0.json": "d45682b38d8b448b19f93db98ce1949d923f063d86b50d29cbda8a0b2636fc7a",
+         "I_plus_0.json": "1adefd7c42ea482e8d4584f17db98ab93a0c94d0b3690dd2abb58ee22555fbfa",
          "log_table.csv": "2a8c6420192e674364ddddcfb5708508240c49a4a225b2bbe12adc83e3539069"},
     ),
     "sweep-ex2-r8-m16384": (
         ["sweep", "--problem", "problems/example2.json", "--first", "4",
          "--rank", "8", "--mesh", "16384"],
         {"II_1.csv": "bc2bec7d80078d5d7a5cf822075a71a5116a3547ad29dac09b9e299efbe481b3",
-         "II_1.json": "5a96d6f69fc722acb6de30e1ee8887f107f3a5e5c6f29b34be0243348d0eb119",
+         "II_1.json": "4d439d802db41f8c39a79e186618f24a34560158ae05a2493eb2348a8ebe74c0",
          "II_2.csv": "826afe005dfa4b1683af3baad6faa04ed5214d87215e88857981b251decefdb3",
-         "II_2.json": "066115b953895043f9c487dfe62c61ee6e6bb7b0e87506fd4d0efc20661714b5",
+         "II_2.json": "3a05ff162193ad8ac88f13896c153b6e1cee3daadbed4846d576e2cc94c54d6e",
          "I_minus_1.csv": "4a3132ef6e8c77fcaaaeeea2fd471c193a675f943fd9abe9eebdfa59bee4beba",
-         "I_minus_1.json": "b762717bb63c674d2e50130f2e52f21d0975bc388fb595456d205b2331ca1127",
+         "I_minus_1.json": "6f6525664dfc9f282bda6a6d3f454d5584adfc8977beb7f9482a766fd4a9bdab",
          "I_plus_0.csv": "02bdd15c4e59cb6f4f49ff57647ed76c47a1dc2c244a965abfcdbe6826a43b0a",
-         "I_plus_0.json": "df6e44d0147f0fa4727f26b57c01114369860796b42e0c2ce9303ab3372ee286",
+         "I_plus_0.json": "fb98b400c56ae785179b9ec9e7c732a6de86ac1c8e894b4bc6cdf61baf451748",
          "log_table.csv": "e003679e6d3a96a9636ae96295c7fe3a9508c95078a1ad7ad328ee7097b0c460"},
     ),
     "validate-ex1-r4": (
