@@ -199,7 +199,9 @@ def branch_point_radius(q_norm: float,
         raise ValueError("the inverse generating function has no critical "
                          "point in (0, 1)")
     f = V0 + g
-    z = (g - g * g) / ((1.0 + V0) * (q_norm * f + shift + bar.majorant(f)))
+    # a subnormal D puts R past the float range: it reads inf
+    with np.errstate(over="ignore", divide="ignore"):
+        z = (g - g * g) / ((1.0 + V0) * (q_norm * f + shift + bar.majorant(f)))
     return float(z.max())
 
 

@@ -7,6 +7,12 @@ right panel, and finally produces the eigenfunction correction through the
 sine-kernel convolution. The eigenvalue denominator is evaluated with the
 same discrete rule as the numerator, which keeps the four homogeneous side
 conditions of every correction at roundoff level on any mesh.
+
+The two panels (0, 1/2) and (1/2, 1) share one panel axis: every field of
+a solve is a (2, M+1) panel array with the left panel in row 0 and the
+right panel in row 1, so each rule that is the same on both panels is
+written once. Per panel are only the zero approximation, the right panel's
+backward sweep from x = 1, and the interface-weighted substitution rule.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .quadrature import (GridFunction, PanelFn, PanelMesh, _substitution,
                          _weighted_trig, cumulative_simpson, sine_sweep)
 
 DEFAULT_MESH = 2048
+_PANELS = ("left", "right")
 
 
 class FdError(ValueError):
@@ -79,18 +86,37 @@ def adomian(n: NonlinearitySpec, u_values):
     return out if out.ndim else float(out)
 
 
+def _panel_nodes(m: int) -> np.ndarray:
+    """Nodes of both panels as a panel array, row 0 left and row 1 right."""
+    return np.stack([PanelMesh(panel, m).nodes for panel in _PANELS])
+
+
+def _rows(values: np.ndarray) -> tuple[PanelFn, PanelFn]:
+    """Read-only PanelFn views of the two rows of a panel array."""
+    m, view = values.shape[-1] - 1, values.view()
+    view.flags.writeable = False
+    return tuple(PanelFn(PanelMesh(panel, m), row)
+                 for panel, row in zip(_PANELS, view))
+
+
 @dataclass
 class Correction:
-    """One term of the expansion: eigenvalue, both panel pieces, amplitude."""
+    """One term of the expansion: eigenvalue, both panel pieces, amplitude.
+
+    u, du and rhs (the smooth right-hand side solved; None for the singular
+    weight) are panel arrays; u1, u2, du1, du2 are read-only row views.
+    """
 
     lambda_j: float
-    u1: PanelFn
-    u2: PanelFn
-    du1: PanelFn
-    du2: PanelFn
+    u: np.ndarray
+    du: np.ndarray
     c2_j: float
-    rhs1: np.ndarray | None = None
-    rhs2: np.ndarray | None = None
+    rhs: np.ndarray | None = None
+
+    u1 = property(lambda self: _rows(self.u)[0])
+    u2 = property(lambda self: _rows(self.u)[1])
+    du1 = property(lambda self: _rows(self.du)[0])
+    du2 = property(lambda self: _rows(self.du)[1])
 
 
 @dataclass
@@ -130,16 +156,11 @@ class FdSolution:
     def lambda_partial(self, k: int) -> float:
         return float(sum(c.lambda_j for c in self.corrections[: k + 1]))
 
-    def _summed(self, piece: str) -> PanelFn:
-        first = getattr(self.corrections[0], piece)
-        return PanelFn(first.mesh, sum(getattr(c, piece).values
-                                       for c in self.corrections))
-
     def u_total(self) -> GridFunction:
-        return GridFunction(self._summed("u1"), self._summed("u2"))
+        return GridFunction(*_rows(sum(c.u for c in self.corrections)))
 
     def du_total(self) -> tuple[PanelFn, PanelFn]:
-        return self._summed("du1"), self._summed("du2")
+        return _rows(sum(c.du for c in self.corrections))
 
     def truncate(self, k: int) -> "FdSolution":
         if not 0 <= k <= self.rank:
@@ -148,49 +169,43 @@ class FdSolution:
                           self.corrections[: k + 1])
 
 
-def _potential_on_panels(q: PotentialSpec, mesh_left: PanelMesh,
-                         mesh_right: PanelMesh):
-    """Node values of a smooth potential, or (None, None) for the weight."""
+def _potential_on_panels(q: PotentialSpec, x: np.ndarray):
+    """Smooth potential at the panel nodes x, or None for the weight."""
     if q.is_singular:
-        return None, None
-    left, right = (np.asarray(q(m.nodes), dtype=float)
-                   for m in (mesh_left, mesh_right))
-    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        return None
+    values = np.asarray(q(x), dtype=float)
+    if not np.isfinite(values).all():
         raise FdError("potential is not finite at a mesh node")
-    return left, right
+    return values
 
 
-def _driving_field(corrections: list[Correction], q_left, q_right,
-                   a_left, a_right):
+def _driving_field(corrections: list[Correction], q, a):
     """Everything on the right-hand side except the new eigenvalue term.
 
-    q_left/q_right are node values of a smooth potential, or None for the
-    singular built-in weight; in the latter case the weighted factors are
-    returned separately. a_left/a_right are the Adomian terms A_j on the
-    panels.
+    q holds a smooth potential at the nodes, or None for the singular
+    built-in weight; then the last correction is returned as the weighted
+    factor, else None. a is the Adomian term A_j.
     """
     j = len(corrections) - 1
-    g1 = np.zeros_like(corrections[0].u1.values)
-    g2 = np.zeros_like(corrections[0].u2.values)
+    g = np.zeros_like(corrections[0].u)
     for p in range(1, j + 1):
-        lam = corrections[j + 1 - p].lambda_j
-        g1 -= lam * corrections[p].u1.values
-        g2 -= lam * corrections[p].u2.values
-    last = corrections[j]
-    if q_left is None:
-        weighted1, weighted2 = last.u1, last.u2
-    else:
-        weighted1 = weighted2 = None
-        g1 += q_left * last.u1.values
-        g2 += q_right * last.u2.values
-    g1 += a_left
-    g2 += a_right
-    return g1, g2, weighted1, weighted2
+        g -= corrections[j + 1 - p].lambda_j * corrections[p].u
+    last = corrections[j].u
+    if q is not None:
+        g += q * last
+    g += a
+    return g, (last if q is None else None)
+
+
+def _full_interval(cumulants):
+    """cos and sin integrals over (0, 1): the panels' end values summed."""
+    return tuple(run[:, -1].sum() for run in cumulants)
 
 
 class _Frame:
     """Trig tables of one frequency on both panels and the rules using them.
 
+    cos and sin hold cos(w*x) and sin(w*x) at the nodes as panel arrays.
     The engine is a frame plus the problem data; the step-level functions
     build a bare frame for a given right-hand side.
     """
@@ -199,28 +214,28 @@ class _Frame:
         self.branch = branch
         self.lambda0 = lambda0
         self.omega = math.sqrt(lambda0)
-        self.mesh_left = PanelMesh("left", mesh_m)
-        self.mesh_right = PanelMesh("right", mesh_m)
-        xl, xr = self.mesh_left.nodes, self.mesh_right.nodes
+        self.meshes = tuple(PanelMesh(panel, mesh_m) for panel in _PANELS)
+        self.h = self.meshes[0].h
+        self.x = _panel_nodes(mesh_m)
         w = self.omega
-        self.cos_left, self.sin_left = np.cos(w * xl), np.sin(w * xl)
-        self.cos_right, self.sin_right = np.cos(w * xr), np.sin(w * xr)
-        self.sin_tail = np.sin(w * (1.0 - xr))
-        self.cos_tail = np.cos(w * (1.0 - xr))
+        self.cos, self.sin = np.cos(w * self.x), np.sin(w * self.x)
+        self.sin_tail = np.sin(w * (1.0 - self.x[1]))
+        self.cos_tail = np.cos(w * (1.0 - self.x[1]))
 
-    def cumulants(self, g1, g2, weighted1=None, weighted2=None):
-        """Running cos/sin integrals of smooth and interface-weighted parts."""
-        h = self.mesh_left.h
-        c1 = cumulative_simpson(g1 * self.cos_left, h)
-        s1 = cumulative_simpson(g1 * self.sin_left, h)
-        c2 = cumulative_simpson(g2 * self.cos_right, h)
-        s2 = cumulative_simpson(g2 * self.sin_right, h)
-        if weighted1 is not None:
-            left, right = self.substituted_trig
-            wc1, ws1 = _weighted_trig(weighted1, *left)
-            wc2, ws2 = _weighted_trig(weighted2, *right)
-            c1, s1, c2, s2 = c1 + wc1, s1 + ws1, c2 + wc2, s2 + ws2
-        return c1, s1, c2, s2
+    def cumulants(self, g, weighted=None):
+        """Running cos and sin integrals of the panel field g.
+
+        weighted, if given, is the panel array that multiplies the interface
+        weight; each panel of it goes through the substitution rule.
+        """
+        c = cumulative_simpson(g * self.cos, self.h)
+        s = cumulative_simpson(g * self.sin, self.h)
+        if weighted is not None:
+            for k, fn in enumerate(_rows(weighted)):
+                wc, ws = _weighted_trig(fn, *self.substituted_trig[k])
+                c[k] += wc
+                s[k] += ws
+        return c, s
 
     @cached_property
     def substituted_trig(self):
@@ -230,35 +245,32 @@ class _Frame:
         """
         w = self.omega
         return tuple((np.cos(w * xs), np.sin(w * xs))
-                     for xs in (_substitution(self.mesh_left).xs,
-                                _substitution(self.mesh_right).xs))
+                     for xs in (_substitution(m).xs for m in self.meshes))
 
     def amplitude(self, cumulants) -> float:
         """Free amplitude from the cumulants of the final field."""
-        cf1, sf1, cf2, sf2 = (c[-1] for c in cumulants)
+        cf, sf = _full_interval(cumulants)
         w = self.omega
         if self.branch.family == "I":
             sh, ch = math.sin(w / 2.0), math.cos(w / 2.0)
             if abs(sh) < 1e-8:
                 raise FdError("family I amplitude rule hit sin(omega/2) = 0; "
                               "branch data is inconsistent")
-            return (sh * (cf1 + cf2) - ch * (sf1 + sf2)) / (w * sh)
-        return -(cf1 + cf2) / w
+            return (sh * cf - ch * sf) / (w * sh)
+        return -cf / w
 
     def pieces(self, cumulants, amp: float):
-        """u1, u2, du1, du2 from the cumulants of the final field.
+        """u and du from the cumulants of the final field.
 
-        The right piece sweeps back from x = 1 and adds amp*sin(w*(1 - x)).
+        The left panel sweeps from x = 0. The right one sweeps back from
+        x = 1 and adds amp*sin(w*(1 - x)).
         """
-        cf1, sf1, cf2, sf2 = cumulants
+        c, s = (np.stack([run[0], run[1, -1] - run[1]]) for run in cumulants)
         w = self.omega
-        u1, du1 = sine_sweep(self.cos_left, self.sin_left, cf1, sf1, w)
-        tail, dtail = sine_sweep(self.cos_right, self.sin_right,
-                                 cf2[-1] - cf2, sf2[-1] - sf2, w)
-        u2 = amp * self.sin_tail - tail
-        du2 = -amp * w * self.cos_tail - dtail
-        return (PanelFn(self.mesh_left, u1), PanelFn(self.mesh_right, u2),
-                PanelFn(self.mesh_left, du1), PanelFn(self.mesh_right, du2))
+        u, du = sine_sweep(self.cos, self.sin, c, s, w)
+        u[1] = amp * self.sin_tail - u[1]
+        du[1] = -amp * w * self.cos_tail - du[1]
+        return u, du
 
 
 class _Engine(_Frame):
@@ -271,68 +283,56 @@ class _Engine(_Frame):
         self.zero = zero_eigenfunction(branch)
         super().__init__(branch, self.zero.lambda0, mesh_m)
         self.problem = problem
-        xl, xr = self.mesh_left.nodes, self.mesh_right.nodes
-        self.u1_zero = PanelFn(self.mesh_left, self.zero.u1(xl))
-        self.u2_zero = PanelFn(self.mesh_right, self.zero.u2(xr))
-        self.zero_cumulants = self.cumulants(self.u1_zero.values,
-                                             self.u2_zero.values)
+        left, right = self.x
+        self.u_zero = np.stack([self.zero.u1(left), self.zero.u2(right)])
+        self.zero_cumulants = self.cumulants(self.u_zero)
         self.denominator = self._weight_total(self.zero_cumulants)
-        self.q_left, self.q_right = _potential_on_panels(
-            problem.potential, self.mesh_left, self.mesh_right)
-        self.series = (_AdomianSeries(problem.nonlinearity),
-                       _AdomianSeries(problem.nonlinearity))
+        self.q = _potential_on_panels(problem.potential, self.x)
+        self.series = _AdomianSeries(problem.nonlinearity)
 
     def _weight_total(self, cumulants) -> float:
-        """Combine full-panel cumulants against the family weight function."""
-        c_left, s_left, c_right, s_right = (c[-1] for c in cumulants)
+        """Combine full-interval cumulants against the family weight."""
+        c, s = _full_interval(cumulants)
         if self.branch.family == "I":
-            sw, cw = math.sin(self.omega), math.cos(self.omega)
-            return sw * (c_left + c_right) - cw * (s_left + s_right)
-        return s_left + s_right
+            return math.sin(self.omega) * c - math.cos(self.omega) * s
+        return s
 
     def zero_correction(self) -> Correction:
-        xl, xr = self.mesh_left.nodes, self.mesh_right.nodes
-        return Correction(
-            lambda_j=self.lambda0,
-            u1=self.u1_zero,
-            u2=self.u2_zero,
-            du1=PanelFn(self.mesh_left, self.zero.du1(xl)),
-            du2=PanelFn(self.mesh_right, self.zero.du2(xr)),
-            c2_j=self.zero.c2_zero,
-        )
+        left, right = self.x
+        du = np.stack([self.zero.du1(left), self.zero.du2(right)])
+        return Correction(self.lambda0, self.u_zero, du, self.zero.c2_zero)
 
-    def _adomian_terms(self, corrections: list[Correction]):
+    def _adomian_term(self, corrections: list[Correction]):
         """A_j on both panels, pushing the corrections not seen yet."""
-        left, right = self.series
-        for c in corrections[left.rank + 1:]:
-            self.a_j = left.push(c.u1.values), right.push(c.u2.values)
+        for c in corrections[self.series.rank + 1:]:
+            self.a_j = self.series.push(c.u)
         return self.a_j
 
     def step(self, corrections: list[Correction]) -> Correction:
-        field = _driving_field(corrections, self.q_left, self.q_right,
-                               *self._adomian_terms(corrections))
-        cumulants = self.cumulants(*field)
+        g, weighted = _driving_field(corrections, self.q,
+                                     self._adomian_term(corrections))
+        cumulants = self.cumulants(g, weighted)
         lam = self._weight_total(cumulants) / self.denominator
         # the final field is the driving field minus lam times the zero
         # approximation, so its cumulants follow by linearity
         final = tuple(c - lam * c0
                       for c, c0 in zip(cumulants, self.zero_cumulants))
         amp = self.amplitude(final)
-        u1, u2, du1, du2 = self.pieces(final, amp)
-        if self.q_left is None:
-            rhs1 = rhs2 = None
-        else:
-            rhs1 = field[0] - lam * self.u1_zero.values
-            rhs2 = field[1] - lam * self.u2_zero.values
-        return Correction(lambda_j=lam, u1=u1, u2=u2, du1=du1, du2=du2,
-                          c2_j=amp, rhs1=rhs1, rhs2=rhs2)
+        u, du = self.pieces(final, amp)
+        if not all(np.isfinite(v).all() for v in (lam, u, du)):
+            raise FdError(f"correction {len(corrections)} is not finite; "
+                          "the series diverges")
+        rhs = None if self.q is None else g - lam * self.u_zero
+        return Correction(lam, u, du, amp, rhs)
 
 
 def _rhs_frame(branch: BranchId, rhs: RhsField):
     """Frame for the right-hand side plus the cumulants of its field."""
     frame = _Frame(branch, rhs.lambda0, rhs.smooth1.mesh.m)
-    return frame, frame.cumulants(rhs.smooth1.values, rhs.smooth2.values,
-                                  rhs.weighted1, rhs.weighted2)
+    g = np.stack([rhs.smooth1.values, rhs.smooth2.values])
+    weighted = (None if rhs.weighted1 is None else
+                np.stack([rhs.weighted1.values, rhs.weighted2.values]))
+    return frame, frame.cumulants(g, weighted)
 
 
 def lambda_correction(branch: BranchId, corrections: list[Correction],
@@ -341,7 +341,7 @@ def lambda_correction(branch: BranchId, corrections: list[Correction],
     if not corrections:
         raise FdError("need at least the zero-order correction")
     engine = _Engine(TransmissionProblem(q, n), branch,
-                     corrections[0].u1.mesh.m)
+                     corrections[0].u.shape[-1] - 1)
     return engine.step(corrections).lambda_j
 
 
@@ -351,17 +351,12 @@ def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
     if j != len(corrections) - 1:
         raise FdError("rhs_assemble expects corrections 0..j")
     zero = corrections[0]
-    mesh_left, mesh_right = zero.u1.mesh, zero.u2.mesh
-    g1, g2, weighted1, weighted2 = _driving_field(
-        corrections, *_potential_on_panels(q, mesh_left, mesh_right),
-        adomian(n, [c.u1.values for c in corrections]),
-        adomian(n, [c.u2.values for c in corrections]))
-    return RhsField(
-        lambda0=zero.lambda_j,
-        smooth1=PanelFn(mesh_left, g1 - lambda_next * zero.u1.values),
-        smooth2=PanelFn(mesh_right, g2 - lambda_next * zero.u2.values),
-        weighted1=weighted1, weighted2=weighted2,
-    )
+    x = _panel_nodes(zero.u.shape[-1] - 1)
+    g, weighted = _driving_field(corrections, _potential_on_panels(q, x),
+                                 adomian(n, [c.u for c in corrections]))
+    weighted = (None, None) if weighted is None else _rows(weighted)
+    return RhsField(zero.lambda_j, *_rows(g - lambda_next * zero.u),
+                    *weighted)
 
 
 def c2_correction(branch: BranchId, rhs: RhsField) -> float:
@@ -374,8 +369,7 @@ def u_correction(branch: BranchId, rhs: RhsField,
                  c2: float) -> tuple[PanelFn, PanelFn]:
     """Eigenfunction correction pieces for the assembled right-hand side."""
     frame, cumulants = _rhs_frame(branch, rhs)
-    u1, u2, _, _ = frame.pieces(cumulants, c2)
-    return u1, u2
+    return _rows(frame.pieces(cumulants, c2)[0])
 
 
 def fd_solve(problem: TransmissionProblem, branch: BranchId, rank: int,

@@ -1,9 +1,13 @@
 """Panel meshes, cumulative Simpson integration, and the sine-kernel convolution.
 
 Everything operates on the two panels [0, 1/2] and [1/2, 1] with uniform
-nodes. Running integrals anchor at the panel's left endpoint. The weighted
-variant removes the built-in |1/2 - x|**-0.5 interface singularity with the
-substitution t = sqrt(|1/2 - x|) and integrates a smooth function of t.
+nodes. Running integrals anchor at the panel's left endpoint. They run
+along the last axis, so one call integrates both rows of a (2, M+1) panel
+array, the form in which the solver keeps its fields (left panel in row 0,
+right panel in row 1). The weighted variant removes the built-in
+|1/2 - x|**-0.5 interface singularity with the substitution
+t = sqrt(|1/2 - x|) and integrates a smooth function of t, one panel at a
+time.
 """
 
 from __future__ import annotations
@@ -57,19 +61,24 @@ def cumulative_simpson(values, h: float) -> NDArray[np.float64]:
 
     Even prefixes use composite Simpson; odd prefixes use the last computed
     even prefix three nodes back plus a Simpson-3/8 block, except the first
-    interval which uses the standard four-point opening rule.
+    interval which uses the standard four-point opening rule. The rule runs
+    along the last axis; leading axes hold independent integrands, such as
+    the two rows of a panel array.
     """
-    f = np.asarray(values, dtype=float)
-    n = f.size - 1
+    f = np.atleast_1d(np.asarray(values, dtype=float))
+    n = f.shape[-1] - 1
     if n < 4 or n % 2:
         raise QuadratureError("cumulative rule needs an even node count >= 5")
     out = np.empty_like(f)
-    out[0] = 0.0
-    pairs = (h / 3.0) * (f[0:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
-    out[2::2] = np.cumsum(pairs)
-    out[1] = (h / 24.0) * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
-    out[3::2] = out[0:-3:2] + (3.0 * h / 8.0) * (
-        f[0:-3:2] + 3.0 * f[1:-2:2] + 3.0 * f[2:-1:2] + f[3::2]
+    out[..., 0] = 0.0
+    pairs = (h / 3.0) * (f[..., 0:-2:2] + 4.0 * f[..., 1:-1:2]
+                         + f[..., 2::2])
+    out[..., 2::2] = np.cumsum(pairs, axis=-1)
+    out[..., 1] = (h / 24.0) * (9.0 * f[..., 0] + 19.0 * f[..., 1]
+                                - 5.0 * f[..., 2] + f[..., 3])
+    out[..., 3::2] = out[..., 0:-3:2] + (3.0 * h / 8.0) * (
+        f[..., 0:-3:2] + 3.0 * f[..., 1:-2:2] + 3.0 * f[..., 2:-1:2]
+        + f[..., 3::2]
     )
     return out
 
@@ -142,6 +151,8 @@ class GridFunction:
 
     def __call__(self, x):
         xq = np.atleast_1d(np.asarray(x, dtype=float))
+        if not ((xq >= 0.0) & (xq <= 1.0)).all():
+            raise QuadratureError("GridFunction is defined on [0, 1] only")
         out = np.empty_like(xq)
         mask = xq <= INTERFACE
         if mask.any():

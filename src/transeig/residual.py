@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdcore import FdSolution, _potential_on_panels
-from .quadrature import (GridFunction, PanelFn, cumulative_simpson,
+from .fdcore import FdSolution, _panel_nodes, _potential_on_panels, _rows
+from .quadrature import (GridFunction, PanelMesh, cumulative_simpson,
                          weighted_cumulative)
 
 
@@ -36,21 +36,17 @@ class ResidualReport:
 class _Totals:
     """Running sums of a solution truncated at some rank.
 
-    q1/q2 hold a smooth potential at the nodes and forcing1/forcing2 the
-    summed right-hand sides of the recursion; all four are None for the
-    singular interface weight.
+    u, du and forcing are panel arrays. q holds a smooth potential at the
+    nodes and forcing the summed right-hand sides of the recursion; both
+    are None for the singular interface weight.
     """
 
     rank: int
     lam: float
-    u1: PanelFn
-    u2: PanelFn
-    du1: np.ndarray
-    du2: np.ndarray
-    forcing1: np.ndarray | None
-    forcing2: np.ndarray | None
-    q1: np.ndarray | None
-    q2: np.ndarray | None
+    u: np.ndarray
+    du: np.ndarray
+    forcing: np.ndarray | None
+    q: np.ndarray | None
 
 
 def _running_totals(sol: FdSolution):
@@ -59,62 +55,42 @@ def _running_totals(sol: FdSolution):
     Every sum adds left to right from 0, as FdSolution does, so the totals
     at rank k are those of sol.truncate(k). q is evaluated once.
     """
-    zero = sol.corrections[0]
-    mesh1, mesh2 = zero.u1.mesh, zero.u2.mesh
-    q1, q2 = _potential_on_panels(sol.problem.potential, mesh1, mesh2)
-    smooth = q1 is not None
-    lam = u1 = u2 = du1 = du2 = 0
-    forcing1 = np.zeros_like(zero.u1.values) if smooth else None
-    forcing2 = np.zeros_like(zero.u2.values) if smooth else None
+    q = _potential_on_panels(sol.problem.potential, _panel_nodes(sol.mesh_m))
+    lam = u = du = 0
+    forcing = None if q is None else np.zeros_like(sol.corrections[0].u)
     for k, c in enumerate(sol.corrections):
         lam = lam + c.lambda_j
-        u1, u2 = u1 + c.u1.values, u2 + c.u2.values
-        du1, du2 = du1 + c.du1.values, du2 + c.du2.values
-        if smooth and k:
-            forcing1, forcing2 = forcing1 + c.rhs1, forcing2 + c.rhs2
-        yield _Totals(k, float(lam), PanelFn(mesh1, u1), PanelFn(mesh2, u2),
-                      du1, du2, forcing1, forcing2, q1, q2)
+        u, du = u + c.u, du + c.du
+        if q is not None and k:
+            forcing = forcing + c.rhs
+        yield _Totals(k, float(lam), u, du, forcing, q)
 
 
-def _finish(kind: str, rank: int, nu1: np.ndarray,
-            nu2: np.ndarray) -> ResidualReport:
-    norm1 = float(np.max(np.abs(nu1)))
-    norm2 = float(np.max(np.abs(nu2)))
-    combined = max(norm1, norm2)
+def _finish(kind: str, rank: int, nu) -> ResidualReport:
+    """Report from the residual nu on the left and on the right panel."""
+    norms = [float(np.max(np.abs(row))) for row in nu]
+    combined = max(norms)
     log_value = math.log(combined) if combined > 0.0 else -math.inf
-    return ResidualReport(kind=kind, rank=rank, norm1=norm1, norm2=norm2,
-                          combined=combined, log_value=log_value)
+    return ResidualReport(kind, rank, *norms, combined, log_value)
 
 
 def _pointwise(sol: FdSolution, t: _Totals) -> ResidualReport:
     nl = sol.problem.nonlinearity
-    lam0 = sol.lambda0
-    out = []
-    for panel, forcing, q_nodes in ((t.u1, t.forcing1, t.q1),
-                                    (t.u2, t.forcing2, t.q2)):
-        nu = (-lam0 * panel.values + forcing
-              + (t.lam - q_nodes) * panel.values - nl(panel.values))
-        out.append(nu)
-    return _finish("pointwise", t.rank, out[0], out[1])
+    nu = (-sol.lambda0 * t.u + t.forcing + (t.lam - t.q) * t.u - nl(t.u))
+    return _finish("pointwise", t.rank, nu)
 
 
 def _integrated(sol: FdSolution, t: _Totals) -> ResidualReport:
     nl = sol.problem.nonlinearity
-    lam = t.lam
-    parts = []
-    for panel, q_nodes in ((t.u1, t.q1), (t.u2, t.q2)):
-        h = panel.mesh.h
-        if q_nodes is None:
-            running = cumulative_simpson(lam * panel.values
-                                         - nl(panel.values), h)
-            running = running - weighted_cumulative(panel)
-        else:
-            running = cumulative_simpson((lam - q_nodes) * panel.values
-                                         - nl(panel.values), h)
-        parts.append(running)
-    nu1 = t.du1 - t.du1[0] + parts[0]
-    nu2 = nu1[-1] + t.du2 - t.du2[0] + parts[1]
-    return _finish("integrated", t.rank, nu1, nu2)
+    factor = t.lam if t.q is None else t.lam - t.q
+    parts = cumulative_simpson(factor * t.u - nl(t.u),
+                               PanelMesh("left", sol.mesh_m).h)
+    if t.q is None:
+        for k, panel in enumerate(_rows(t.u)):
+            parts[k] -= weighted_cumulative(panel)
+    nu1 = t.du[0] - t.du[0, 0] + parts[0]
+    nu2 = nu1[-1] + t.du[1] - t.du[1, 0] + parts[1]
+    return _finish("integrated", t.rank, (nu1, nu2))
 
 
 def _form(sol: FdSolution):

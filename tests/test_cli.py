@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transeig import cli
@@ -315,3 +316,18 @@ def test_validate_reports_a_failed_oracle_integration(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "integration failed" in err
     assert "Traceback" not in err
+
+
+def test_divergent_series_exits_1_without_output(tmp_path, capsys):
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps({
+        "potential": {"kind": "polynomial", "coeffs": [0.0, 1e200]},
+        "nonlinearity": {"coeffs_from_degree_1": [0.0, 1.0]}}))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = cli.main(["solve", "--problem", str(path), "--rank", "4",
+                         "--mesh", "64", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "diverges" in err
+    assert not out.exists()

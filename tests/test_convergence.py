@@ -264,6 +264,15 @@ def test_radius_with_subnormal_leading_coefficient():
         radius_linear(1.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("q_norm, nbar", [
+    (0.0, NonlinearitySpec((2.225e-311,))),
+    (5e-324, None),
+], ids=["subnormal-n", "subnormal-q"])
+def test_radius_past_the_float_range_is_inf(q_norm, nbar):
+    # runs under filterwarnings = error, so a RuntimeWarning would fail it
+    assert branch_point_radius(q_norm, nbar) == math.inf
+
+
 def test_radius_without_critical_point_raises(monkeypatch):
     monkeypatch.setattr(np.polynomial.polynomial, "polyroots",
                         lambda c: np.array([-0.5, 1.5 + 0.0j]))

@@ -379,3 +379,28 @@ def test_weighted_step_interpolates_only_off_the_nodes(monkeypatch):
     monkeypatch.setattr(quadrature, "interp_uniform", counted)
     fd_solve(EX2, B0, 8, 64)
     assert len(calls) == 16
+
+
+#: q = 1e200*x with N = u**2: the second correction overflows
+DIVERGENT = TransmissionProblem(PotentialSpec.polynomial([0.0, 1e200]),
+                                NonlinearitySpec.power(2))
+
+
+def test_divergent_series_raises():
+    with np.errstate(all="ignore"), pytest.raises(FdError, match="diverges"):
+        fd_solve(DIVERGENT, B0, rank=4, mesh=64)
+
+
+def test_corrections_are_panel_arrays_with_row_views():
+    sol = fd_solve(EX1, B0, rank=2, mesh=64)
+    for c in sol.corrections:
+        assert c.u.shape == c.du.shape == (2, 65)
+        assert np.array_equal(c.u1.values, c.u[0])
+        assert np.array_equal(c.du2.values, c.du[1])
+        assert c.u1.mesh == PanelMesh("left", 64)
+        assert c.u2.mesh == PanelMesh("right", 64)
+        with pytest.raises(ValueError):
+            c.u1.values[0] = 1.0
+    assert sol.corrections[0].rhs is None
+    assert all(c.rhs.shape == (2, 65) for c in sol.corrections[1:])
+    assert all(c.rhs is None for c in fd_solve(EX2, B0, 2, 64).corrections)

@@ -19,11 +19,17 @@ checkout lives.
 import hashlib
 import json
 import shutil
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transeig import cli
+from transeig.basis import ascending_branches
+from transeig.fdcore import fd_solve
+from transeig.model import load_problem
+from transeig.residual import residual_by_rank
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -94,3 +100,44 @@ def test_cli_outputs_are_byte_identical(name, tmp_path, monkeypatch, capsys):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (tmp_path / "out").iterdir()}
     assert written == digests
+
+
+def _solver_digest(problem) -> str:
+    """sha256 of the raw correction arrays and per-rank residual norms.
+
+    Covers lambda_j, c2_j and the bytes of u1, u2, du1, du2 of every
+    correction, and norm1/norm2 of every residual_by_rank row, for the
+    first three branches at rank 6 on M = 64. The CLI digests above see
+    only printed sums and sup norms; this one sees every node value. The
+    digests were recorded before the solver kept both panels of a field
+    in one (2, M+1) array.
+    """
+    digest = hashlib.sha256()
+    for branch in ascending_branches(3):
+        sol = fd_solve(problem, branch, 6, 64)
+        for c in sol.corrections:
+            digest.update(struct.pack("<2d", c.lambda_j, c.c2_j))
+            for piece in (c.u1, c.u2, c.du1, c.du2):
+                digest.update(np.ascontiguousarray(piece.values,
+                                                   dtype="<f8").tobytes())
+        for row in residual_by_rank(sol):
+            digest.update(struct.pack("<2d", row.norm1, row.norm2))
+    return digest.hexdigest()
+
+
+ARRAY_DIGESTS = {
+    "example1": "debc6538ce690d628d5a03096d0d7d3615911856d2a4dea86593458e18676fd4",
+    "example2": "d2d35d01b28fcd59cdb0c49b6cc32659f9cc81f7632f67d7e60caaada36155e0",
+    "cubic": "dea23d9ac312f892e51343b3218688dbddd5c5d09856fb92dc2d9a696ee2e27d",
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_DIGESTS))
+def test_solver_arrays_are_byte_identical(name, tmp_path):
+    if name == "cubic":
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(CUBIC))
+    else:
+        path = PROBLEMS / f"{name}.json"
+    problem, _ = load_problem(path)
+    assert _solver_digest(problem) == ARRAY_DIGESTS[name]

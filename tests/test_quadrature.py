@@ -272,3 +272,29 @@ def test_kernel_direction_validation():
         kernel_convolution(4.0, f, "upward")
     with pytest.raises(QuadratureError):
         kernel_convolution(-1.0, f, "from-left")
+
+
+@pytest.mark.parametrize("x", [1.7, -3.0, math.nan, [0.25, 1.0 + 1e-9]])
+def test_grid_function_rejects_points_off_the_interval(x):
+    left = PanelFn.from_callable(PanelMesh("left", 16), lambda s: s)
+    right = PanelFn.from_callable(PanelMesh("right", 16), lambda s: 1.0 - s)
+    with pytest.raises(QuadratureError, match=r"\[0, 1\]"):
+        GridFunction(left, right)(x)
+
+
+@given(rows=st.integers(1, 4), half=st.integers(2, 64),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cumulative_simpson_runs_along_the_last_axis(rows, half, seed):
+    f = np.random.default_rng(seed).uniform(-1.0, 1.0, (rows, 2 * half + 1))
+    h = 0.5 / (2 * half)
+    out = cumulative_simpson(f, h)
+    assert out.shape == f.shape
+    assert all(np.array_equal(out[k], cumulative_simpson(f[k], h))
+               for k in range(rows))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 4), (2, 8), (3, 2, 6), ()])
+def test_cumulative_simpson_rejects_a_short_or_odd_last_axis(shape):
+    with pytest.raises(QuadratureError):
+        cumulative_simpson(np.ones(shape), 0.1)
