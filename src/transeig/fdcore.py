@@ -379,7 +379,10 @@ def fd_solve(problem: TransmissionProblem, branch: BranchId, rank: int,
         raise FdError("rank must be non-negative")
     engine = _Engine(problem, branch, mesh)
     corrections = [engine.zero_correction()]
-    for _ in range(rank):
-        corrections.append(engine.step(corrections))
+    # A diverging series overflows before step() sees a non-finite
+    # correction and raises FdError; that error is the one report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(rank):
+            corrections.append(engine.step(corrections))
     return FdSolution(problem=problem, branch=branch, rank=rank,
                       mesh_m=mesh, corrections=corrections)

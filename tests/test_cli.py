@@ -331,3 +331,29 @@ def test_divergent_series_exits_1_without_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "diverges" in err
     assert not out.exists()
+
+
+def test_divergent_solve_reports_one_line(tmp_path, capsys):
+    # no outer errstate: the overflow on the way to the non-finite
+    # correction must not reach the user as numpy warnings
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps({
+        "potential": {"kind": "polynomial", "coeffs": [0.0, 1e200]},
+        "nonlinearity": {"coeffs_from_degree_1": [0.0, 1.0]}}))
+    code = cli.main(["solve", "--problem", str(path), "--rank", "4",
+                     "--mesh", "64", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: correction 2 is not finite; the series diverges\n")
+
+
+def test_validate_prints_the_oracle_tolerance(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["validate", "--problem", str(EX1), "--first", "1",
+                     "--rank", "2", "--mesh", "64", "--tol", "1e-12",
+                     "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1].startswith("oracle tolerance 1e-12: ")
+    # stdout only: the CSV keeps its header and one row per branch
+    assert len((out / "validate.csv").read_text().splitlines()) == 2

@@ -7,8 +7,12 @@ rule cached its back-map stencils; those of the two rank-6 / cubic
 floats. The JSON digests of the three sweeps were re-recorded when the
 majorant radius R moved from a bounded numerical search to the roots of
 its critical-point polynomial: `convergence.radius`, `ratio` and
-`decay_factors` moved in the last bits, every other byte stayed. A
-speedup must leave the digests as they are. A change that is meant to
+`decay_factors` moved in the last bits, every other byte stayed. The
+three `validate` digests were re-recorded when the oracle moved from
+solve_ivp's DOP853 to the same tableau and step control on Python floats:
+`lambda_fd` stayed byte-identical, each oracle root moved by at most
+1.1e-13 and `abs_diff` with it. A speedup must leave the digests as they
+are. A change that is meant to
 move the numbers re-records them and says why in CHANGES.md.
 
 Each command runs from a temporary working directory with a relative
@@ -75,17 +79,17 @@ GOLDEN = {
     "validate-ex1-r4": (
         ["validate", "--problem", "problems/example1.json", "--first", "2",
          "--rank", "4", "--mesh", "256"],
-        {"validate.csv": "e0a1a7e897cb5fa745d622982d7a05f38129d389cd80dc686bd927e31228d523"},
+        {"validate.csv": "36260a0c93669c3e4eaec3f7beacd22fb2f08f2d80ff6f2687117793d7af926d"},
     ),
     "validate-ex1-r6": (
         ["validate", "--problem", "problems/example1.json", "--first", "6",
          "--rank", "6"],
-        {"validate.csv": "7c1e0b5444ba4162fc658a21659e753d366e165bfa829a040e46a1f869285969"},
+        {"validate.csv": "16f67c4b11db377cba4e34b0d274bff96aa4d38f553df85cdb4a5fdbd3ddc3d1"},
     ),
     "validate-cubic-r4": (
         ["validate", "--problem", "problems/cubic.json", "--first", "3",
          "--rank", "4", "--mesh", "256"],
-        {"validate.csv": "290ae99778535fdd18f542c632e8e4eee10cb698efa0eeeacabaa972e3a0bf08"},
+        {"validate.csv": "47466f31852695420eb061cad9a8dbd1153e279e58919f124ac59e0a9e8ea275"},
     ),
 }
 

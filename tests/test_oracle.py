@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from transeig import oracle
+from transeig.basis import ascending_branches
 from transeig.fdcore import fd_solve
 from transeig.model import (FLUX_JUMP, INTERFACE, SLOPE_AT_ZERO, BranchId,
                             NonlinearitySpec, PotentialSpec,
@@ -97,33 +101,57 @@ def test_oracle_handles_nonlinearity():
     assert lam == pytest.approx(sol.lambda_total, abs=1e-6)
 
 
-def shoot_by_arrays(problem, lam, tol=1e-10):
-    """shoot with q and N evaluated through their __call__ on 0-d arrays.
+def array_rhs(problem, lam):
+    """(u, u')' with q and N evaluated through their __call__ on 0-d arrays.
 
     The right-hand side the float one has to reproduce bit for bit.
     """
     q, nl = problem.potential, problem.nonlinearity
 
-    def rhs(x, y):
-        u, du = y
-        return (du, (float(q(x)) - lam) * u + nl(u))
+    def rhs(x, u, du):
+        return du, (float(q(x)) - lam) * u + nl(u)
 
+    return rhs
+
+
+def by_dop853(rhs, a, b, state, tol):
+    return oracle._dop853(rhs, a, b, state, rtol=tol, atol=tol * 1e-3)
+
+
+def by_solve_ivp(rhs, a, b, state, tol):
+    sol = solve_ivp(lambda x, y: rhs(x, *y), (a, b), state, method="DOP853",
+                    rtol=tol, atol=tol * 1e-3)
+    if sol.status != 0:
+        raise ValueError(f"integration failed on [{a}, {b}]: {sol.message}")
+    return sol.t, sol.y[0], sol.y[1], sol.nfev
+
+
+def shoot_with(integrate, problem, lam, tol):
+    """shoot's two legs and unit slope jump on the array rhs.
+
+    integrate(rhs, a, b, state, tol) runs one leg and returns its nodes,
+    u, u' and number of rhs calls.
+    """
+    rhs = array_rhs(problem, lam)
     legs = []
     state = (0.0, SLOPE_AT_ZERO)
     for a, b in ((0.0, INTERFACE), (INTERFACE, 1.0)):
-        sol = solve_ivp(rhs, (a, b), state, method="DOP853",
-                        rtol=tol, atol=tol * 1e-3)
-        assert sol.status == 0
-        legs.append(sol)
-        state = (sol.y[0, -1], sol.y[1, -1] + FLUX_JUMP)
-    first, second = legs
-    return oracle.ShotResult(
-        miss=float(second.y[0, -1]),
-        x=np.concatenate([first.t, second.t]),
-        u=np.concatenate([first.y[0], second.y[0]]),
-        du=np.concatenate([first.y[1], second.y[1]]),
-        nfev=first.nfev + second.nfev,
-    )
+        legs.append(integrate(rhs, a, b, state, tol))
+        state = (legs[-1][1][-1], legs[-1][2][-1] + FLUX_JUMP)
+    x, u, du, nfev = zip(*legs)
+    return oracle.ShotResult(miss=float(u[1][-1]), x=np.concatenate(x),
+                             u=np.concatenate(u), du=np.concatenate(du),
+                             nfev=sum(nfev))
+
+
+def shoot_by_arrays(problem, lam, tol=1e-10):
+    """shoot with the array rhs, on the same float DOP853 loop."""
+    return shoot_with(by_dop853, problem, lam, tol)
+
+
+def shoot_by_solve_ivp(problem, lam, tol=1e-10):
+    """The reference: the array rhs on solve_ivp(method="DOP853")."""
+    return shoot_with(by_solve_ivp, problem, lam, tol)
 
 
 def assert_same_shot(got, want):
@@ -175,3 +203,72 @@ def test_find_eigenvalue_shoots_each_lambda_once(shot_lambdas):
         shot_lambdas.clear()
         find_eigenvalue(FREE, bracket)
         assert len(shot_lambdas) == len(set(shot_lambdas))
+
+
+@given(q=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+       n=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=4),
+       lam=st.floats(5.0, 400.0), tol=st.sampled_from([1e-10, 1e-13]))
+@settings(max_examples=40, deadline=None)
+def test_float_dop853_shoots_as_solve_ivp(q, n, lam, tol):
+    problem = TransmissionProblem(PotentialSpec.polynomial(q),
+                                  NonlinearitySpec(tuple(n)))
+    ref = shoot_by_solve_ivp(problem, lam, tol)
+    got = shoot(problem, lam, tol)
+    # the same tableau and step control; the stage sums round in another
+    # order than numpy's dot, so a step count may differ now and then
+    assert abs(got.miss - ref.miss) <= 1e-12 * max(1.0, np.abs(ref.u).max())
+
+
+def test_ex1_roots_agree_with_a_solve_ivp_oracle(monkeypatch):
+    problem, _ = load_problem(PROBLEMS / "example1.json")
+    brackets = []
+    for branch in ascending_branches(6):
+        lam_fd = fd_solve(problem, branch, rank=6).lambda_total
+        brackets.append((lam_fd - 0.5, lam_fd + 0.5))
+    ours = [find_eigenvalue(problem, b, tol=1e-13) for b in brackets]
+    monkeypatch.setattr(oracle, "shoot", shoot_by_solve_ivp)
+    theirs = [find_eigenvalue(problem, b, tol=1e-13) for b in brackets]
+    assert np.abs(np.subtract(ours, theirs)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q, n, lam", [
+    ([1e6], (), 1.0),
+    ([1e150], (), 1.0),
+    ([0.0], (1e200,), 1.0),
+    ([0.0], (0.0, 0.0, 0.0, 0.0, 1e300), 50.0),
+], ids=["q=1e6", "q=1e150", "N=1e200u", "N=1e300u^5"])
+def test_an_overflowing_shot_fails_cleanly(q, n, lam):
+    # no OverflowError and no warning (pyproject turns warnings into
+    # errors): the error norm rejects inf and nan until the step is too small
+    problem = TransmissionProblem(PotentialSpec.polynomial(q),
+                                  NonlinearitySpec(n))
+    with pytest.raises(ValueError, match="integration failed"):
+        shoot(problem, lam)
+
+
+def test_shooting_memory_stays_flat():
+    # scipy's compiled `ode` wrapper grows its heap by about 125 B a shot;
+    # the float loop keeps nothing from one shot to the next
+    script = f"""
+import resource, sys
+from transeig.model import load_problem
+from transeig.oracle import shoot
+problem, _ = load_problem({str(PROBLEMS / "example1.json")!r})
+def shots(count):
+    for i in range(count):
+        shoot(problem, 10.0 + i % 50, tol=1e-8)
+def peak():
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss if sys.platform == "darwin" else rss * 1024
+shots(200)
+before = peak()
+shots(4000)
+print(peak() - before)
+"""
+    src = Path(oracle.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert int(done.stdout.split()[-1]) < 256 * 1024
