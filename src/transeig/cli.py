@@ -205,7 +205,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"{index:<6}{tag:<12}{_fmt(lam_fd):<24}"
               f"{_fmt(lam_star):<24}{diff:.2e}")
     print(f"oracle tolerance {args.tol:g}: an abs_diff near or below it "
-          f"is oracle error")
+          "is oracle error")
     (out / "validate.csv").write_text("\n".join(lines) + "\n",
                                       encoding="utf-8")
     return 0
