@@ -5,17 +5,18 @@ Runge-Kutta pair (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and
 II.10), applies the unit slope jump at the interface, and root-finds the
 terminal boundary defect over lambda. The integrator is solve_ivp's
 DOP853, with its tableau, initial step, error norm and step control, run
-on Python floats for the 2-vector (u, u'): a stage costs a dozen
-multiply-adds, no numpy array, and nothing outlives a shot. scipy supplies
-the tableau and brentq, imported on first use. Only smooth potentials are
-supported; the fixed slope at the origin removes the scaling freedom, so
-lambda is the single unknown.
+on Python floats for the 2-vector (u, u'): the tableau is carried here as
+float constants, a stage sums only its nonzero coefficients, no numpy array
+is made per stage, and nothing outlives a shot. The root finder is a port
+of scipy's brentq, so the module imports nothing from scipy. Only smooth
+potentials are supported; the fixed slope at the origin removes the
+scaling freedom, so lambda is the single unknown.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,29 +76,70 @@ def shoot(problem: TransmissionProblem, lam: float,
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0
 _SQRT2 = math.sqrt(2.0)
+# Accepted steps per leg before a shot gives up; an ex1 leg takes about 40.
+_MAX_STEPS = 10_000
+
+# DOP853's tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5), the
+# coefficients of solve_ivp's DOP853 as exact floats. Each sum keeps only its
+# nonzero (stage, coefficient) pairs, in stage order: from a +0.0 start a
+# zero term adds +-0.0, which leaves the sum unchanged, so a finite step is
+# bit-identical to the dense dot. A non-finite stage reaches B and E5 through
+# the nonzero entries, except the last one (f at the new point), whose error
+# weights are all zero; E5 keeps that 0.0 so that 0 * inf = nan rejects the
+# step, as in solve_ivp.
+_A = (
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861),
+     (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386),
+     (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998),
+     (4, 0.10726203044637328), (5, -0.015319437748624402),
+     (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414),
+     (4, -0.868219346841726), (5, 27.59209969944671),
+     (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677),
+     (4, -0.590290826836843), (5, 21.230051448181193),
+     (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064),
+     (4, 1.0914373489967295), (5, -8.149787010746927),
+     (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725),
+     (4, -2.0008720582248625), (5, -17.9589318631188),
+     (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303),
+     (10, 0.6433927460157636)),
+)
+_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+_B = ((0, 0.054293734116568765), (5, 4.450312892752409),
+      (6, 1.8915178993145003), (7, -5.801203960010585),
+      (8, 0.3111643669578199), (9, -0.1521609496625161),
+      (10, 0.20136540080403034), (11, 0.04471061572777259))
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044),
+       (6, -0.4957589496572502), (7, 1.6643771824549864),
+       (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294), (12, 0.0))
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409),
+       (6, 1.8915178993145003), (7, -5.801203960010585),
+       (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
 
 
-@functools.cache
-def _tableau():
-    """DOP853's A rows, C, B, E5 and E3 as Python floats.
-
-    Read from the public class solve_ivp integrates with, so the two share
-    one set of coefficients. Zero entries stay: 0 * inf is nan in solve_ivp's
-    dot products, and an overflowing stage must be rejected here too.
-    """
-    from scipy.integrate import DOP853
-    n = DOP853.n_stages
-    return (tuple(tuple(DOP853.A[s, :s].tolist()) for s in range(1, n)),
-            tuple(DOP853.C[1:n].tolist()), tuple(DOP853.B.tolist()),
-            tuple(DOP853.E5.tolist()), tuple(DOP853.E3.tolist()))
-
-
-def _dot(coefs, ku, kv):
-    """sum_j coefs[j] * k[j] for each component, in stage order."""
+def _dot(pairs, ku, kv):
+    """sum_j coef_j * k[j] for each component, over (j, coef_j) pairs."""
     du = dv = 0.0
-    for coef, kuj, kvj in zip(coefs, ku, kv):
-        du += coef * kuj
-        dv += coef * kvj
+    for j, coef in pairs:
+        du += coef * ku[j]
+        dv += coef * kv[j]
     return du, dv
 
 
@@ -119,9 +161,9 @@ def _dop853(f, a, b, y0, rtol, atol):
     Returns the accepted nodes and states, starting at a and ending at b,
     and the number of f calls. Overflow shows up as inf or nan, which the
     error norm rejects until the step is too small, so it raises the same
-    ValueError as a stiff problem.
+    ValueError as a stiff problem; so does a leg that needs more than
+    _MAX_STEPS steps, where solve_ivp would step on for ever.
     """
-    rows, nodes, weights, e5, e3 = _tableau()
     x, (u, v) = a, y0
     fu, fv = f(x, u, v)
     # select_initial_step
@@ -139,6 +181,9 @@ def _dop853(f, a, b, y0, rtol, atol):
     nfev = 2
     xs, us, vs = [x], [u], [v]
     while x < b:
+        if len(xs) > _MAX_STEPS:
+            raise ValueError(f"integration failed on [{a}, {b}]: more than "
+                             f"{_MAX_STEPS} steps.")
         min_step = 10 * (math.nextafter(x, math.inf) - x)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -151,12 +196,12 @@ def _dop853(f, a, b, y0, rtol, atol):
             x_new = min(x + h_abs, b)
             h = x_new - x
             ku, kv = [fu], [fv]
-            for row, c in zip(rows, nodes):
+            for row, c in zip(_A, _C):
                 du, dv = _dot(row, ku, kv)
                 gu, gv = f(x + c * h, u + du * h, v + dv * h)
                 ku.append(gu)
                 kv.append(gv)
-            du, dv = _dot(weights, ku, kv)
+            du, dv = _dot(_B, ku, kv)
             u_new, v_new = u + h * du, v + h * dv
             fu_new, fv_new = f(x + h, u_new, v_new)
             ku.append(fu_new)
@@ -164,8 +209,8 @@ def _dop853(f, a, b, y0, rtol, atol):
             nfev += len(ku) - 1
             su = atol + max(abs(u), abs(u_new)) * rtol
             sv = atol + max(abs(v), abs(v_new)) * rtol
-            e5u, e5v = _dot(e5, ku, kv)
-            e3u, e3v = _dot(e3, ku, kv)
+            e5u, e5v = _dot(_E5, ku, kv)
+            e3u, e3v = _dot(_E3, ku, kv)
             err5 = _sumsq(e5u / su, e5v / sv)
             denom = err5 + 0.01 * _sumsq(e3u / su, e3v / sv)
             error_norm = h * err5 / math.sqrt(denom * 2) if denom else 0.0
@@ -189,7 +234,6 @@ def find_eigenvalue(problem: TransmissionProblem,
                     bracket: tuple[float, float],
                     tol: float = 1e-12) -> float:
     """Root of the miss function on the bracket."""
-    from scipy.optimize import brentq
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
@@ -211,4 +255,81 @@ def find_eigenvalue(problem: TransmissionProblem,
     if f_lo * f_hi > 0.0:
         raise ValueError(f"the shooting value u(1) does not change sign "
                          f"on [{lo}, {hi}]")
-    return float(brentq(miss, lo, hi, xtol=tol))
+    return _brentq(miss, lo, hi, xtol=tol)
+
+
+# scipy.optimize.brentq's defaults: rtol = 4 * eps and 100 iterations.
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa, xb, xtol, maxiter=_BRENT_MAXITER):
+    """Brent's root finder (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), ported line for line from scipy's brentq.c.
+
+    The same iterates and f calls as scipy.optimize.brentq(f, xa, xb,
+    xtol=xtol, maxiter=maxiter), and the same errors: ValueError for
+    xtol <= 0, a nan f value or no sign change, RuntimeError when maxiter
+    iterations do not converge.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0

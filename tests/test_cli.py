@@ -168,14 +168,18 @@ def scipy_modules_at_exit(code: str) -> list[str]:
 @pytest.mark.parametrize("command", [["sweep", "--first", "2"], ["solve"],
                                      ["validate", "--first", "2"]],
                          ids=lambda c: c[0])
-def test_only_validate_imports_scipy(tmp_path, command):
+def test_no_command_imports_scipy(tmp_path, command):
     argv = command + ["--problem", str(EX1), "--rank", "2", "--mesh", "64",
                       "--out", str(tmp_path / "out")]
     loaded = scipy_modules_at_exit(
         f"from transeig import cli\nassert cli.main({argv!r}) == 0")
-    # the shooting oracle is the one caller of scipy's integrator and root
-    # finder, so validate is the control that shows the check sees them
-    assert bool(loaded) == (command[0] == "validate")
+    # the shooting oracle carries its own DOP853 tableau and brentq
+    assert loaded == []
+
+
+def test_the_scipy_check_sees_an_import():
+    # the control: an empty list above means scipy was not loaded
+    assert "scipy.optimize" in scipy_modules_at_exit("import scipy.optimize")
 
 
 def test_bare_import_loads_no_scipy():

@@ -1,14 +1,16 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from transeig import oracle
 from transeig.basis import ascending_branches
@@ -272,3 +274,96 @@ print(peak() - before)
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
     assert int(done.stdout.split()[-1]) < 256 * 1024
+
+
+def test_a_shot_past_the_step_budget_fails_in_time():
+    # q - λ ≈ -1e300 oscillates at a frequency near 1e150, so each step is
+    # about 2e-151 long; without a budget the first leg never ends
+    script = """
+from transeig.model import PotentialSpec, TransmissionProblem
+from transeig.oracle import shoot
+try:
+    shoot(TransmissionProblem(PotentialSpec.polynomial([-1e300])), 1.0)
+except ValueError as err:
+    print(err)
+"""
+    src = Path(oracle.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.startswith("integration failed on [0.0, 0.5]")
+    assert f"more than {oracle._MAX_STEPS} steps" in done.stdout
+
+
+def dense(pairs, size):
+    row = np.zeros(size)
+    for j, coef in pairs:
+        row[j] = coef
+    return row
+
+
+def test_tableau_is_scipys_dop853():
+    n = DOP853.n_stages
+    a = np.array([np.zeros(n)] + [dense(row, n) for row in oracle._A])
+    assert np.array_equal(a, DOP853.A)
+    assert DOP853.C[0] == 0.0
+    assert np.array_equal(oracle._C, DOP853.C[1:])
+    assert np.array_equal(dense(oracle._B, n), DOP853.B)
+    assert np.array_equal(dense(oracle._E5, n + 1), DOP853.E5)
+    assert np.array_equal(dense(oracle._E3, n + 1), DOP853.E3)
+    # every pair lies below the diagonal, in stage order, and is nonzero,
+    # except E5's entry for the last stage, which keeps 0 * inf = nan
+    sums = [(s, row) for s, row in enumerate(oracle._A, start=1)]
+    sums += [(n, oracle._B), (n + 1, oracle._E5), (n + 1, oracle._E3)]
+    zeros = []
+    for s, row in sums:
+        stages = [j for j, _ in row]
+        assert stages == sorted(set(stages)) and stages[-1] < s
+        zeros += [(s, j) for j, coef in row if coef == 0.0]
+    assert zeros == [(n + 1, n)]
+    assert sum(len(row) for _, row in sums) == 75
+
+
+def cubic(c):
+    return lambda x: ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+
+
+def run(solver, f, a, b, xtol):
+    """The root's bits, or the error, and the points f was called at."""
+    xs = []
+
+    def call(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        return float(solver(call, a, b, xtol=xtol)).hex(), xs
+    except (ValueError, RuntimeError) as err:
+        return repr(err), xs
+
+
+@given(c=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+       a=st.floats(-5.0, 0.0), b=st.floats(0.1, 5.0),
+       xtol=st.sampled_from([1e-10, 1e-12, 1e-13]))
+@settings(max_examples=200, deadline=None)
+def test_brentq_port_iterates_as_scipy(c, a, b, xtol):
+    f = cubic(c)
+    assume(f(a) * f(b) < 0.0)
+    # a triple root at 0 runs both out of iterations
+    assert run(oracle._brentq, f, a, b, xtol) == run(brentq, f, a, b, xtol)
+
+
+@pytest.mark.parametrize("f, xtol, maxiter", [
+    (cubic([-2.0, 0.0, 0.0, 1.0]), 0.0, 100),
+    (cubic([-2.0, 0.0, 0.0, 1.0]), -1e-12, 100),
+    (cubic([2.0, 0.0, 1.0, 0.0]), 1e-12, 100),
+    (cubic([-2.0, 0.0, 0.0, 1.0]), 1e-12, 3),
+    (lambda x: math.nan if x > 1.0 else -1.0, 1e-12, 100),
+], ids=["xtol=0", "xtol<0", "no-sign-change", "maxiter", "nan"])
+def test_brentq_port_raises_as_scipy(f, xtol, maxiter):
+    with pytest.raises((ValueError, RuntimeError)) as ref:
+        brentq(f, 0.0, 3.0, xtol=xtol, maxiter=maxiter)
+    with pytest.raises(ref.type, match=re.escape(str(ref.value))):
+        oracle._brentq(f, 0.0, 3.0, xtol=xtol, maxiter=maxiter)
