@@ -263,14 +263,14 @@ _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-def _brentq(f, xa, xb, xtol, maxiter=_BRENT_MAXITER):
+def _brentq(f, xa, xb, xtol):
     """Brent's root finder (Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 4), ported line for line from scipy's brentq.c.
 
     The same iterates and f calls as scipy.optimize.brentq(f, xa, xb,
-    xtol=xtol, maxiter=maxiter), and the same errors: ValueError for
-    xtol <= 0, a nan f value or no sign change, RuntimeError when maxiter
-    iterations do not converge.
+    xtol=xtol), and the same errors: ValueError for xtol <= 0, a nan f
+    value or no sign change, RuntimeError when 100 iterations do not
+    converge.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -291,7 +291,7 @@ def _brentq(f, xa, xb, xtol, maxiter=_BRENT_MAXITER):
         return xcur
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -328,7 +328,8 @@ def _brentq(f, xa, xb, xtol, maxiter=_BRENT_MAXITER):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} "
+                       "iterations.")
 
 
 def _signbit(x: float) -> bool:

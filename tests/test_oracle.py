@@ -351,19 +351,19 @@ def run(solver, f, a, b, xtol):
 def test_brentq_port_iterates_as_scipy(c, a, b, xtol):
     f = cubic(c)
     assume(f(a) * f(b) < 0.0)
-    # a triple root at 0 runs both out of iterations
+    # some draws raise, e.g. both run out of iterations on x**3 over [-1, 2]
     assert run(oracle._brentq, f, a, b, xtol) == run(brentq, f, a, b, xtol)
 
 
-@pytest.mark.parametrize("f, xtol, maxiter", [
-    (cubic([-2.0, 0.0, 0.0, 1.0]), 0.0, 100),
-    (cubic([-2.0, 0.0, 0.0, 1.0]), -1e-12, 100),
-    (cubic([2.0, 0.0, 1.0, 0.0]), 1e-12, 100),
-    (cubic([-2.0, 0.0, 0.0, 1.0]), 1e-12, 3),
-    (lambda x: math.nan if x > 1.0 else -1.0, 1e-12, 100),
-], ids=["xtol=0", "xtol<0", "no-sign-change", "maxiter", "nan"])
-def test_brentq_port_raises_as_scipy(f, xtol, maxiter):
+@pytest.mark.parametrize("f, a, b, xtol", [
+    (cubic([-2.0, 0.0, 0.0, 1.0]), 0.0, 3.0, 0.0),
+    (cubic([-2.0, 0.0, 0.0, 1.0]), 0.0, 3.0, -1e-12),
+    (cubic([2.0, 0.0, 1.0, 0.0]), 0.0, 3.0, 1e-12),
+    (cubic([0.0, 0.0, 0.0, 1.0]), -1.0, 2.0, 1e-10),
+    (lambda x: math.nan if x > 1.0 else -1.0, 0.0, 3.0, 1e-12),
+], ids=["xtol=0", "xtol<0", "no-sign-change", "out-of-iterations", "nan"])
+def test_brentq_port_raises_as_scipy(f, a, b, xtol):
     with pytest.raises((ValueError, RuntimeError)) as ref:
-        brentq(f, 0.0, 3.0, xtol=xtol, maxiter=maxiter)
+        brentq(f, a, b, xtol=xtol)
     with pytest.raises(ref.type, match=re.escape(str(ref.value))):
-        oracle._brentq(f, 0.0, 3.0, xtol=xtol, maxiter=maxiter)
+        oracle._brentq(f, a, b, xtol=xtol)
