@@ -107,10 +107,28 @@ class _Stencil:
                 + self.w2 * f[s + 2] + self.w3 * f[s + 3])
 
 
+@lru_cache(maxsize=2)
+def _located(a: float, h: float, npts: int, shape: tuple,
+             points: bytes) -> _Stencil:
+    """The stencil of one point set, keyed on the points' content.
+
+    Two entries hold the substituted points of both panels of a mesh. A
+    point that is nan or lies off [a, a + (npts - 1) h] by more than a
+    rounding slack is refused rather than extrapolated.
+    """
+    xq = np.frombuffer(points).reshape(shape)
+    slack = 1e-9 * h
+    if not ((xq >= a - slack) & (xq <= a + (npts - 1) * h + slack)).all():
+        raise QuadratureError("interpolation point off the grid "
+                              f"[{a}, {a + (npts - 1) * h}]")
+    return _Stencil(a, h, npts, xq)
+
+
 def interp_uniform(a: float, h: float, values: NDArray, x) -> NDArray[np.float64]:
     """Local cubic (four-point Lagrange) interpolation on a uniform grid."""
     f = np.asarray(values, dtype=float)
-    out = _Stencil(a, h, f.size, x)(f)
+    xq = np.asarray(x, dtype=float)
+    out = _located(a, h, f.size, xq.shape, xq.tobytes())(f)
     return out if np.ndim(x) else float(out[0])
 
 
