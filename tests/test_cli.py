@@ -186,6 +186,14 @@ def test_bare_import_loads_no_scipy():
     assert scipy_modules_at_exit("import transeig") == []
 
 
+def test_a_tabulated_norm_loads_no_scipy():
+    assert scipy_modules_at_exit(
+        "import numpy as np\n"
+        "from transeig.model import PotentialSpec, l1_norm\n"
+        "assert abs(l1_norm(PotentialSpec.tabulated(np.cos))"
+        " - np.sin(1.0)) < 1e-12") == []
+
+
 def test_validate_from_rank_zero(tmp_path):
     # at rank 0 the FD value of I+0 is 2.13 from the root, outside both
     # widths around it; the bracket between neighbouring levels finds it

@@ -16,6 +16,7 @@ from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
                             TransmissionProblem, load_problem)
 from transeig import quadrature
 from transeig.quadrature import PanelFn, PanelMesh
+from transeig.residual import residual_by_rank
 
 EX1 = TransmissionProblem(PotentialSpec.polynomial([0.0, 1.0, 3.0]),
                           NonlinearitySpec.power(2))
@@ -379,6 +380,24 @@ def test_weighted_step_interpolates_only_off_the_nodes(monkeypatch):
     monkeypatch.setattr(quadrature, "interp_uniform", counted)
     fd_solve(EX2, B0, 8, 64)
     assert len(calls) == 16
+
+
+@pytest.mark.parametrize("rank", [8, 2])
+def test_forward_stencils_are_located_once_per_point_set(monkeypatch, rank):
+    # the back maps are cached with the substitution; built before counting
+    for panel in ("left", "right"):
+        quadrature._substitution(PanelMesh(panel, 64))
+    quadrature._located.cache_clear()
+    built = []
+
+    class Counted(quadrature._Stencil):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(quadrature, "_Stencil", Counted)
+    residual_by_rank(fd_solve(EX2, B0, rank, 64))
+    assert sorted(built) == [0.0, 0.5]
 
 
 #: q = 1e200*x with N = u**2: the second correction overflows

@@ -42,6 +42,28 @@ def test_tabulated_potential():
     assert float(q(0.3)) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("evaluator, expected, rel", [
+    (lambda x: x - 0.5, 0.25, 1e-12),
+    (lambda x: np.where(x <= 0.5, -1.0, 3.0), 2.0, 1e-12),
+    (lambda x: x - 0.3, 0.29, 1e-6),
+], ids=["kink-at-interface", "jump-at-interface", "kink-in-panel"])
+def test_tabulated_potential_changing_sign(evaluator, expected, rel):
+    # each panel is integrated on its own, so a sign change or jump at the
+    # interface leaves |q| smooth on every cell
+    q = PotentialSpec.tabulated(evaluator)
+    assert l1_norm(q) == pytest.approx(expected, rel=rel)
+
+
+@pytest.mark.parametrize("evaluator", [
+    lambda x: np.abs(0.5 - x) ** -0.5,
+    lambda x: 1.0 / x,
+    lambda x: np.full_like(x, np.nan),
+], ids=["interface-weight", "pole", "nan"])
+def test_tabulated_potential_without_a_reliable_norm(evaluator):
+    with pytest.raises(ModelError, match="supply its L1 norm"):
+        l1_norm(PotentialSpec.tabulated(evaluator))
+
+
 def test_tabulated_potential_explicit_norm_wins():
     q = PotentialSpec.tabulated(lambda x: np.full_like(x, 2.0), l1=7.5)
     assert l1_norm(q) == 7.5

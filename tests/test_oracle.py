@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
@@ -210,15 +210,28 @@ def test_find_eigenvalue_shoots_each_lambda_once(shot_lambdas):
 @given(q=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
        n=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=4),
        lam=st.floats(5.0, 400.0), tol=st.sampled_from([1e-10, 1e-13]))
+@example(q=[14.0], n=[3.0, 2.0, 3.0], lam=5.0, tol=1e-10)
+@example(q=[4.0, 0.0, 1.25], n=[0.0, 0.0, 0.25], lam=5.0, tol=1e-10)
 @settings(max_examples=40, deadline=None)
 def test_float_dop853_shoots_as_solve_ivp(q, n, lam, tol):
     problem = TransmissionProblem(PotentialSpec.polynomial(q),
                                   NonlinearitySpec(tuple(n)))
-    ref = shoot_by_solve_ivp(problem, lam, tol)
+    try:
+        ref = shoot_by_solve_ivp(problem, lam, tol)
+    except ValueError as exc:
+        # a blow-up: both integrations must give up in the same words
+        with pytest.raises(ValueError) as got_exc:
+            shoot(problem, lam, tol)
+        assert str(got_exc.value) == str(exc)
+        return
     got = shoot(problem, lam, tol)
     # the same tableau and step control; the stage sums round in another
-    # order than numpy's dot, so a step count may differ now and then
-    assert abs(got.miss - ref.miss) <= 1e-12 * max(1.0, np.abs(ref.u).max())
+    # order than numpy's dot. On the same steps the misses agree to
+    # roundoff. A first error norm at roundoff level can pick another
+    # second step, and then the two step paths agree to the tolerance
+    scale = max(1.0, np.abs(ref.u).max())
+    bound = 1e-12 if got.nfev == ref.nfev else tol
+    assert abs(got.miss - ref.miss) <= bound * scale
 
 
 def test_ex1_roots_agree_with_a_solve_ivp_oracle(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transeig.quadrature import (GridFunction, PanelFn, PanelMesh,
-                                 QuadratureError, _substitution,
+                                 QuadratureError, _Stencil, _substitution,
                                  cumulative_simpson, interp_uniform,
                                  kernel_convolution, weighted_cumulative,
                                  weighted_trig_cumulants)
@@ -105,6 +105,56 @@ def test_interp_uniform_exact_for_cubics():
     targets = np.array([0.0, 0.013, 0.24999, 0.31, 0.499, 0.5])
     got = interp_uniform(mesh.a, mesh.h, vals, targets)
     assert np.max(np.abs(got - cubic(targets))) < 1e-13
+
+
+@given(n=st.integers(4, 40), a=st.floats(-2.0, 2.0),
+       h=st.floats(1e-3, 1.0), shape=st.sampled_from([(), (7,), (3, 4)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_memoised_interp_uniform_is_a_fresh_stencil(n, a, h, shape, seed):
+    rng = np.random.default_rng(seed)
+    x = a + (n - 1) * h * rng.uniform(0.0, 1.0, shape)
+    # the second round finds the same point set memoised, with new values
+    for _ in range(2):
+        f = rng.uniform(-1.0, 1.0, n)
+        got = interp_uniform(a, h, f, x)
+        assert isinstance(got, float) == (shape == ())
+        assert np.array_equal(np.atleast_1d(got), _Stencil(a, h, n, x)(f))
+
+
+def test_points_changed_in_place_or_reshaped_get_a_new_stencil():
+    mesh = PanelMesh("left", 20)
+    vals = cubic(mesh.nodes)
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    first = interp_uniform(mesh.a, mesh.h, vals, x)
+    x[1] = 0.45
+    got = interp_uniform(mesh.a, mesh.h, vals, x)
+    assert got[1] != first[1]
+    assert np.array_equal(got, _Stencil(mesh.a, mesh.h, mesh.m + 1, x)(vals))
+    square = interp_uniform(mesh.a, mesh.h, vals, x.reshape(2, 2))
+    assert np.array_equal(square, got.reshape(2, 2))
+
+
+@pytest.mark.parametrize("x", [math.nan, [0.25, math.nan], -0.025, 0.525,
+                               0.75],
+                         ids=["nan", "nan-in-array", "cell-below", "cell-above",
+                              "other-panel"])
+def test_panel_fn_refuses_points_off_its_panel(x):
+    f = PanelFn.from_callable(PanelMesh("left", 20), cubic)
+    with pytest.raises(QuadratureError, match="off the grid"):
+        f(x)
+
+
+@pytest.mark.parametrize("m", [4, 64, 16384])
+@pytest.mark.parametrize("panel", ["left", "right"])
+def test_substituted_points_lie_on_their_panel(panel, m):
+    # the left panel's last x(t) = 1/2 - t**2 rounds to -1.1e-16, which is
+    # -3.6e-12 of a cell at m = 16384
+    mesh = PanelMesh(panel, m)
+    xs = _substitution(mesh).xs
+    vals = np.cos(3.0 * mesh.nodes)
+    assert np.array_equal(interp_uniform(mesh.a, mesh.h, vals, xs),
+                          _Stencil(mesh.a, mesh.h, m + 1, xs)(vals))
 
 
 def test_panel_fn_sup_and_call():
