@@ -306,13 +306,13 @@ def _brentq(f, xa, xb, xtol):
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
             else:
                 # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre),
+                            dblk * dpre * (fblk - fpre))
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry
@@ -334,3 +334,16 @@ def _brentq(f, xa, xb, xtol):
 
 def _signbit(x: float) -> bool:
     return math.copysign(1.0, x) < 0
+
+
+def _div(n: float, d: float) -> float:
+    """n / d as C divides doubles: a zero d gives inf or nan, not an error.
+
+    brentq.c divides by products of tiny f values that can underflow to 0;
+    the inf or nan step then fails the short-step test and Brent bisects.
+    """
+    if d != 0:
+        return n / d
+    if n == 0 or math.isnan(n):
+        return math.nan
+    return math.copysign(math.inf, n) * math.copysign(1.0, d)
