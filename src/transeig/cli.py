@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -134,6 +133,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     task = partial(_branch_payload, problem, args)
     jobs = min(args.jobs, len(branches))
     if jobs > 1:
+        # imported here: multiprocessing costs every other command's start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             payloads = list(pool.map(task, branches))
     else:

@@ -37,20 +37,44 @@ class FdError(ValueError):
     """Recursion cannot proceed with the given inputs."""
 
 
+class _Stack:
+    """Equal-shaped terms in one array, row k holding the term of rank k.
+
+    Sized for the expected rank, the array doubles when appended past it;
+    rows taken before keep their values. Each Correction.u is a row view.
+    """
+
+    def __init__(self, rows: int = 1):
+        self.data, self.rows, self.size = None, rows, 0
+
+    def append(self, value) -> np.ndarray:
+        """Write value into the next row and return that row's view."""
+        if self.data is None:
+            self.data = np.empty((self.rows,) + np.shape(value))
+        elif self.size == len(self.data):
+            self.data = np.concatenate([self.data, np.empty_like(self.data)])
+        self.data[self.size] = value
+        self.size += 1
+        return self.data[self.size - 1]
+
+
 class _AdomianSeries:
     """Adomian terms of N(sum_k u(k) t**k), one rank per push.
 
-    It keeps the terms of u**1..u**(d-1) pushed so far, d being the degree
-    of the highest nonzero coefficient. A push forms only the t**j term of
-    each power, each summed over r = 0..j in order; the term of u**d goes
-    straight into A_j and is not stored.
+    It keeps the terms of u**1..u**(d-1) pushed so far as stacks, d being
+    the degree of the highest nonzero coefficient; the stack of u**1 may be
+    the solver's own. A push forms only the t**j term of each power, one
+    einsum over the rank axis that adds r = 0..j in order from 0.0; the
+    term of u**d goes straight into A_j and is not stored.
     """
 
-    def __init__(self, n: NonlinearitySpec):
+    def __init__(self, n: NonlinearitySpec, u: _Stack | None = None):
         degree = max((i for i, a in enumerate(n.coeffs, start=1) if a != 0.0),
                      default=0)
         self.coeffs = n.coeffs[:degree]
-        self.powers = [[] for _ in range(degree - 1)]
+        u = _Stack() if u is None else u
+        self.powers = ([u] + [_Stack(u.rows)
+                              for _ in range(degree - 2)])[:degree - 1]
         self.rank = -1
 
     def push(self, u_j):
@@ -64,8 +88,10 @@ class _AdomianSeries:
                 out = out + a * term
             if i < len(self.coeffs):
                 power, u = self.powers[i - 1], self.powers[0]
-                power.append(term)
-                term = sum((power[r] * u[j - r] for r in range(j + 1)), 0.0)
+                if power.size == j:  # a solver's stack holds u(j) already
+                    power.append(term)
+                term = np.einsum("k...,k...->...", power.data[:j + 1],
+                                 u.data[j::-1])
         return out
 
 
@@ -80,7 +106,7 @@ def adomian(n: NonlinearitySpec, u_values):
     seq = [np.asarray(v, dtype=float) for v in u_values]
     if not seq:
         raise FdError("adomian needs at least the zero-order term")
-    series = _AdomianSeries(n)
+    series = _AdomianSeries(n, _Stack(len(seq)))
     for term in np.stack(np.broadcast_arrays(*seq)):
         out = series.push(term)
     return out if out.ndim else float(out)
@@ -179,35 +205,29 @@ def _potential_on_panels(q: PotentialSpec, x: np.ndarray):
     return values
 
 
-def _driving_field(corrections: list[Correction], q, a):
+def _driving_field(lams, u: np.ndarray, q, a):
     """Everything on the right-hand side except the new eigenvalue term.
 
-    q holds a smooth potential at the nodes, or None for the singular
-    built-in weight; then the last correction is returned as the weighted
-    factor, else None. a is the Adomian term A_j.
+    lams and u hold lambda(0..j) and the panel arrays u(0..j), so the sum
+    of lambda(j+1-p)*u(p) is one einsum over the rank axis, adding p = 1..j
+    in order from 0.0. q holds a smooth potential at the nodes, or None for
+    the singular weight; then u(j) is returned as the weighted factor, else
+    None. a is the Adomian term A_j.
     """
-    j = len(corrections) - 1
-    g = np.zeros_like(corrections[0].u)
-    for p in range(1, j + 1):
-        g -= corrections[j + 1 - p].lambda_j * corrections[p].u
-    last = corrections[j].u
+    g = np.einsum("k,k...->...", -np.array(lams[:0:-1]), u[1:])
     if q is not None:
-        g += q * last
+        g += q * u[-1]
     g += a
-    return g, (last if q is None else None)
-
-
-def _full_interval(cumulants):
-    """cos and sin integrals over (0, 1): the panels' end values summed."""
-    return tuple(run[:, -1].sum() for run in cumulants)
+    return g, (u[-1] if q is None else None)
 
 
 class _Frame:
     """Trig tables of one frequency on both panels and the rules using them.
 
-    cos and sin hold cos(w*x) and sin(w*x) at the nodes as panel arrays.
-    The engine is a frame plus the problem data; the step-level functions
-    build a bare frame for a given right-hand side.
+    trig stacks cos(w*x) and sin(w*x) at the nodes as panel arrays, so the
+    cos and sin cumulants of a field take one quadrature call. The engine
+    is a frame plus the problem data; the step-level functions build a bare
+    frame for a given right-hand side.
     """
 
     def __init__(self, branch: BranchId, lambda0: float, mesh_m: int):
@@ -218,24 +238,23 @@ class _Frame:
         self.h = self.meshes[0].h
         self.x = _panel_nodes(mesh_m)
         w = self.omega
-        self.cos, self.sin = np.cos(w * self.x), np.sin(w * self.x)
+        self.trig = np.stack([np.cos(w * self.x), np.sin(w * self.x)])
         self.sin_tail = np.sin(w * (1.0 - self.x[1]))
         self.cos_tail = np.cos(w * (1.0 - self.x[1]))
 
     def cumulants(self, g, weighted=None):
-        """Running cos and sin integrals of the panel field g.
+        """Running cos and sin integrals of the panel field g, cos in row 0.
 
         weighted, if given, is the panel array that multiplies the interface
         weight; each panel of it goes through the substitution rule.
         """
-        c = cumulative_simpson(g * self.cos, self.h)
-        s = cumulative_simpson(g * self.sin, self.h)
+        run = cumulative_simpson(g * self.trig, self.h)
         if weighted is not None:
             for k, fn in enumerate(_rows(weighted)):
                 wc, ws = _weighted_trig(fn, *self.substituted_trig[k])
-                c[k] += wc
-                s[k] += ws
-        return c, s
+                run[0, k] += wc
+                run[1, k] += ws
+        return run
 
     @cached_property
     def substituted_trig(self):
@@ -249,7 +268,7 @@ class _Frame:
 
     def amplitude(self, cumulants) -> float:
         """Free amplitude from the cumulants of the final field."""
-        cf, sf = _full_interval(cumulants)
+        cf, sf = cumulants[..., -1].sum(axis=-1)  # both panels' end values
         w = self.omega
         if self.branch.family == "I":
             sh, ch = math.sin(w / 2.0), math.cos(w / 2.0)
@@ -265,34 +284,36 @@ class _Frame:
         The left panel sweeps from x = 0. The right one sweeps back from
         x = 1 and adds amp*sin(w*(1 - x)).
         """
-        c, s = (np.stack([run[0], run[1, -1] - run[1]]) for run in cumulants)
+        run = cumulants.copy()
+        run[:, 1] = cumulants[:, 1, -1:] - cumulants[:, 1]
         w = self.omega
-        u, du = sine_sweep(self.cos, self.sin, c, s, w)
+        u, du = sine_sweep(*self.trig, *run, w)
         u[1] = amp * self.sin_tail - u[1]
         du[1] = -amp * w * self.cos_tail - du[1]
         return u, du
 
 
 class _Engine(_Frame):
-    """Shared per-solve state: meshes, trig tables, zero-order cumulants."""
+    """Per-solve state: meshes, trig tables, zero cumulants and u's stack."""
 
     def __init__(self, problem: TransmissionProblem, branch: BranchId,
-                 mesh_m: int = DEFAULT_MESH):
+                 mesh_m: int = DEFAULT_MESH, rank: int = 0):
         if mesh_m % 2 or mesh_m < 4:
             raise FdError("mesh size must be even and at least 4")
         self.zero = zero_eigenfunction(branch)
         super().__init__(branch, self.zero.lambda0, mesh_m)
         self.problem = problem
         left, right = self.x
-        self.u_zero = np.stack([self.zero.u1(left), self.zero.u2(right)])
+        self.u = _Stack(rank + 1)
+        self.u_zero = self.u.append([self.zero.u1(left), self.zero.u2(right)])
         self.zero_cumulants = self.cumulants(self.u_zero)
         self.denominator = self._weight_total(self.zero_cumulants)
         self.q = _potential_on_panels(problem.potential, self.x)
-        self.series = _AdomianSeries(problem.nonlinearity)
+        self.series = _AdomianSeries(problem.nonlinearity, self.u)
 
     def _weight_total(self, cumulants) -> float:
         """Combine full-interval cumulants against the family weight."""
-        c, s = _full_interval(cumulants)
+        c, s = cumulants[..., -1].sum(axis=-1)
         if self.branch.family == "I":
             return math.sin(self.omega) * c - math.cos(self.omega) * s
         return s
@@ -309,21 +330,26 @@ class _Engine(_Frame):
         return self.a_j
 
     def step(self, corrections: list[Correction]) -> Correction:
-        g, weighted = _driving_field(corrections, self.q,
+        """The next correction; its u is the next row of the stack."""
+        if len(corrections) < self.u.size:
+            raise FdError("step needs every correction it has seen")
+        for c in corrections[self.u.size:]:
+            self.u.append(c.u)
+        g, weighted = _driving_field([c.lambda_j for c in corrections],
+                                     self.u.data[:self.u.size], self.q,
                                      self._adomian_term(corrections))
         cumulants = self.cumulants(g, weighted)
         lam = self._weight_total(cumulants) / self.denominator
         # the final field is the driving field minus lam times the zero
         # approximation, so its cumulants follow by linearity
-        final = tuple(c - lam * c0
-                      for c, c0 in zip(cumulants, self.zero_cumulants))
+        final = cumulants - lam * self.zero_cumulants
         amp = self.amplitude(final)
         u, du = self.pieces(final, amp)
         if not all(np.isfinite(v).all() for v in (lam, u, du)):
             raise FdError(f"correction {len(corrections)} is not finite; "
                           "the series diverges")
         rhs = None if self.q is None else g - lam * self.u_zero
-        return Correction(lam, u, du, amp, rhs)
+        return Correction(lam, self.u.append(u), du, amp, rhs)
 
 
 def _rhs_frame(branch: BranchId, rhs: RhsField):
@@ -341,7 +367,7 @@ def lambda_correction(branch: BranchId, corrections: list[Correction],
     if not corrections:
         raise FdError("need at least the zero-order correction")
     engine = _Engine(TransmissionProblem(q, n), branch,
-                     corrections[0].u.shape[-1] - 1)
+                     corrections[0].u.shape[-1] - 1, len(corrections))
     return engine.step(corrections).lambda_j
 
 
@@ -352,8 +378,9 @@ def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
         raise FdError("rhs_assemble expects corrections 0..j")
     zero = corrections[0]
     x = _panel_nodes(zero.u.shape[-1] - 1)
-    g, weighted = _driving_field(corrections, _potential_on_panels(q, x),
-                                 adomian(n, [c.u for c in corrections]))
+    u = np.stack([c.u for c in corrections])
+    g, weighted = _driving_field([c.lambda_j for c in corrections], u,
+                                 _potential_on_panels(q, x), adomian(n, u))
     weighted = (None, None) if weighted is None else _rows(weighted)
     return RhsField(zero.lambda_j, *_rows(g - lambda_next * zero.u),
                     *weighted)
@@ -377,7 +404,7 @@ def fd_solve(problem: TransmissionProblem, branch: BranchId, rank: int,
     """Run the recursion to the requested rank on the given panel mesh."""
     if rank < 0:
         raise FdError("rank must be non-negative")
-    engine = _Engine(problem, branch, mesh)
+    engine = _Engine(problem, branch, mesh, rank)
     corrections = [engine.zero_correction()]
     # A diverging series overflows before step() sees a non-finite
     # correction and raises FdError; that error is the one report.

@@ -107,16 +107,30 @@ class _Stencil:
                 + self.w2 * f[s + 2] + self.w3 * f[s + 3])
 
 
+class _Points:
+    """Points as a memo key: hashed on a few samples, equal bit for bit."""
+
+    def __init__(self, xq: NDArray[np.float64]):
+        self.xq = xq
+
+    def __hash__(self) -> int:
+        return hash((self.xq.shape, *self.xq.flat[::1 + self.xq.size // 8]))
+
+    def __eq__(self, other) -> bool:
+        return np.array_equal(self.xq.view(np.uint64),
+                              other.xq.view(np.uint64))
+
+
 @lru_cache(maxsize=2)
-def _located(a: float, h: float, npts: int, shape: tuple,
-             points: bytes) -> _Stencil:
+def _located(a: float, h: float, npts: int, points: _Points) -> _Stencil:
     """The stencil of one point set, keyed on the points' content.
 
     Two entries hold the substituted points of both panels of a mesh. A
     point that is nan or lies off [a, a + (npts - 1) h] by more than a
     rounding slack is refused rather than extrapolated.
     """
-    xq = np.frombuffer(points).reshape(shape)
+    # runs on a miss only: the key the memo keeps gets a private copy
+    xq = points.xq = points.xq.copy()
     slack = 1e-9 * h
     if not ((xq >= a - slack) & (xq <= a + (npts - 1) * h + slack)).all():
         raise QuadratureError("interpolation point off the grid "
@@ -128,7 +142,7 @@ def interp_uniform(a: float, h: float, values: NDArray, x) -> NDArray[np.float64
     """Local cubic (four-point Lagrange) interpolation on a uniform grid."""
     f = np.asarray(values, dtype=float)
     xq = np.asarray(x, dtype=float)
-    out = _located(a, h, f.size, xq.shape, xq.tobytes())(f)
+    out = _located(a, h, f.size, _Points(xq))(f)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -265,8 +279,9 @@ def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
     direction "from-left" integrates from the panel start to x; "from-right"
     integrates from x to the panel end. The kernel splits into products of
     cos(w*s) and sin(w*s) with trigonometric factors of x, so the whole
-    sweep costs two running integrals. With with_derivative the analytic
-    x-derivative of the convolution (cosine kernel) is returned alongside.
+    sweep costs two running integrals, taken in one quadrature call. With
+    with_derivative the analytic x-derivative of the convolution (cosine
+    kernel) is returned alongside.
     """
     if lambda0 <= 0.0:
         raise QuadratureError("kernel needs lambda0 > 0")
@@ -274,14 +289,11 @@ def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
         raise QuadratureError(f"unknown direction: {direction!r}")
     w = sqrt(lambda0)
     mesh = f.mesh
-    x = mesh.nodes
-    cosx = np.cos(w * x)
-    sinx = np.sin(w * x)
-    c_run = cumulative_simpson(f.values * cosx, mesh.h)
-    s_run = cumulative_simpson(f.values * sinx, mesh.h)
+    trig = np.stack([np.cos(w * mesh.nodes), np.sin(w * mesh.nodes)])
+    run = cumulative_simpson(f.values * trig, mesh.h)
     if direction == "from-right":
-        c_run, s_run = c_run[-1] - c_run, s_run[-1] - s_run
-    g, dg = sine_sweep(cosx, sinx, c_run, s_run, w)
+        run = run[:, -1:] - run
+    g, dg = sine_sweep(*trig, *run, w)
     if with_derivative:
         return PanelFn(mesh, g), PanelFn(mesh, dg)
     return PanelFn(mesh, g)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -153,12 +154,12 @@ def test_validate_smooth_problem(tmp_path, capsys):
     assert "lambda_oracle" in printed
 
 
-def scipy_modules_at_exit(code: str) -> list[str]:
-    """The scipy* modules a fresh interpreter holds after running code."""
+def modules_at_exit(code: str, prefix: str = "scipy") -> list[str]:
+    """The prefix* modules a fresh interpreter holds after running code."""
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     script = (code + "\nimport json, sys\nprint(json.dumps(sorted("
-              "m for m in sys.modules if m.startswith('scipy'))))")
+              f"m for m in sys.modules if m.startswith({prefix!r}))))")
     done = subprocess.run([sys.executable, "-c", script], check=True,
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=path))
@@ -171,23 +172,43 @@ def scipy_modules_at_exit(code: str) -> list[str]:
 def test_no_command_imports_scipy(tmp_path, command):
     argv = command + ["--problem", str(EX1), "--rank", "2", "--mesh", "64",
                       "--out", str(tmp_path / "out")]
-    loaded = scipy_modules_at_exit(
+    loaded = modules_at_exit(
         f"from transeig import cli\nassert cli.main({argv!r}) == 0")
     # the shooting oracle carries its own DOP853 tableau and brentq
     assert loaded == []
 
 
+@pytest.mark.parametrize("command", [["sweep", "--first", "2", "--jobs", "1"],
+                                     ["solve"], ["validate", "--first", "2"]],
+                         ids=lambda c: c[0])
+def test_serial_commands_load_no_multiprocessing(tmp_path, command):
+    argv = command + ["--problem", str(EX1), "--rank", "2", "--mesh", "64",
+                      "--out", str(tmp_path / "out")]
+    assert modules_at_exit(f"from transeig import cli\n"
+                           f"assert cli.main({argv!r}) == 0",
+                           "multiprocessing") == []
+
+
+def test_the_multiprocessing_check_sees_a_pool(tmp_path):
+    # the control: a parallel sweep is the one command that needs the pool
+    argv = ["sweep", "--first", "2", "--jobs", "2", "--problem", str(EX1),
+            "--rank", "2", "--mesh", "64", "--out", str(tmp_path / "out")]
+    assert "multiprocessing" in modules_at_exit(
+        f"from transeig import cli\nassert cli.main({argv!r}) == 0",
+        "multiprocessing")
+
+
 def test_the_scipy_check_sees_an_import():
     # the control: an empty list above means scipy was not loaded
-    assert "scipy.optimize" in scipy_modules_at_exit("import scipy.optimize")
+    assert "scipy.optimize" in modules_at_exit("import scipy.optimize")
 
 
 def test_bare_import_loads_no_scipy():
-    assert scipy_modules_at_exit("import transeig") == []
+    assert modules_at_exit("import transeig") == []
 
 
 def test_a_tabulated_norm_loads_no_scipy():
-    assert scipy_modules_at_exit(
+    assert modules_at_exit(
         "import numpy as np\n"
         "from transeig.model import PotentialSpec, l1_norm\n"
         "assert abs(l1_norm(PotentialSpec.tabulated(np.cos))"
@@ -289,7 +310,7 @@ def test_sweep_pool_has_no_more_workers_than_branches(
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     code = cli.main(["sweep", "--problem", str(EX1), "--first", first,
                      "--jobs", jobs, "--rank", "1", "--mesh", "64",
                      "--out", str(tmp_path / "out")])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from transeig.basis import ascending_branches, zero_eigenvalue
 from transeig.convergence import branch_constants
 from transeig.fdcore import (DEFAULT_MESH, FdError, RhsField,
-                             _AdomianSeries, _Engine, adomian, c2_correction,
+                             _AdomianSeries, _driving_field, _Engine,
+                             adomian, c2_correction,
                              fd_solve, lambda_correction, rhs_assemble,
                              u_correction)
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
@@ -156,10 +157,64 @@ def test_series_pushes_are_adomian_bit_for_bit(coeffs, us):
 
 
 def test_series_keeps_no_terms_of_the_top_power():
+    # degree 3: rank + 1 rows for each of u and u**2, none for u**3
     series = _AdomianSeries(NonlinearitySpec((0.5, 0.0, -1.0, 0.0)))
     for _ in range(3):
         series.push(np.ones(4))
-    assert [len(p) for p in series.powers] == [3, 3]
+    assert series.rank == 2
+    assert [p.data[:p.size].shape for p in series.powers] == [(3, 4)] * 2
+
+
+def _panel_terms(rng, rows, m):
+    """Random panel arrays over several magnitudes, a tenth of them -0.0."""
+    terms = (rng.standard_normal((rows, 2, m + 1))
+             * 10.0 ** rng.integers(-4, 5, (rows, 1, 1)))
+    terms[rng.random(terms.shape) < 0.1] = -0.0
+    return terms
+
+
+def cauchy_by_loop(p, u, j):
+    return sum((p[r] * u[j - r] for r in range(j + 1)), 0.0)
+
+
+# The rank-axis einsums must add exactly as the in-order loops they
+# replaced, signed zeros included; tobytes() sees -0.0 where array_equal
+# does not. A numpy whose einsum fuses multiply-add fails here instead of
+# moving the golden digests.
+@given(m=st.integers(2, 8192).map(lambda k: 2 * k), j=st.integers(0, 10),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rank_axis_einsums_add_as_the_loops_byte_for_byte(m, j, seed):
+    rng = np.random.default_rng(seed)
+    u = _panel_terms(rng, j + 1, m)
+    lams = list(rng.standard_normal(j + 1))
+    g = np.zeros_like(u[0])
+    for p in range(1, j + 1):
+        g -= lams[j + 1 - p] * u[p]
+    # a = -0.0 adds nothing, so the driving field is the convolution alone
+    driven, _ = _driving_field(lams, u, None, np.full_like(g, -0.0))
+    assert driven.tobytes() == g.tobytes()
+    series = _AdomianSeries(NonlinearitySpec((0.0, 0.0, 0.0, 1.0)))
+    for term in u:
+        series.push(term)
+    square, cube = (p.data for p in series.powers[1:])
+    for k in range(j + 1):
+        assert square[k].tobytes() == cauchy_by_loop(u, u, k).tobytes()
+        assert cube[k].tobytes() == cauchy_by_loop(square, u, k).tobytes()
+
+
+@given(us=st.lists(st.one_of(st.floats(-1e3, 1e3), st.just(-0.0)),
+                   min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_cauchy_einsum_on_scalar_terms_adds_as_the_loop(us):
+    series = _AdomianSeries(NonlinearitySpec((0.0, 0.0, 0.0, 1.0)))
+    for term in us:
+        series.push(np.asarray(term))
+    u = np.array(us)
+    square, cube = (p.data for p in series.powers[1:])
+    for k in range(len(us)):
+        assert square[k].tobytes() == cauchy_by_loop(u, u, k).tobytes()
+        assert cube[k].tobytes() == cauchy_by_loop(square, u, k).tobytes()
 
 
 def test_lambda_correction_catches_up_with_fd_solve():
@@ -423,3 +478,27 @@ def test_corrections_are_panel_arrays_with_row_views():
     assert sol.corrections[0].rhs is None
     assert all(c.rhs.shape == (2, 65) for c in sol.corrections[1:])
     assert all(c.rhs is None for c in fd_solve(EX2, B0, 2, 64).corrections)
+
+
+@pytest.mark.parametrize("problem", [EX1, EX2], ids=["smooth", "singular"])
+def test_corrections_are_rows_of_one_rank_stack(problem):
+    sol = fd_solve(problem, B0, rank=5, mesh=64)
+    stack = sol.corrections[0].u.base
+    assert stack.shape == (6, 2, 65)
+    for k, c in enumerate(sol.corrections):
+        assert [np.shares_memory(c.u, row) for row in stack] == [
+            i == k for i in range(6)]
+
+
+def test_engine_grows_its_stack_and_refuses_a_repeated_step():
+    # sized for rank 0, stepped to rank 4: the stack doubles three times
+    engine = _Engine(EX1, B0, 64)
+    corrections = [engine.zero_correction()]
+    for _ in range(4):
+        corrections.append(engine.step(corrections))
+    solved = fd_solve(EX1, B0, rank=4, mesh=64).corrections
+    for grown, sized in zip(corrections, solved):
+        assert grown.lambda_j == sized.lambda_j
+        assert grown.u.tobytes() == sized.u.tobytes()
+    with pytest.raises(FdError, match="seen"):
+        engine.step(corrections[:-1])
