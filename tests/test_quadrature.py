@@ -6,6 +6,7 @@ from conftest import prefix_weight_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transeig import quadrature
 from transeig.quadrature import (GridFunction, PanelFn, PanelMesh,
                                  QuadratureError, _Stencil, _substitution,
                                  cumulative_simpson, interp_uniform,
@@ -133,6 +134,24 @@ def test_points_changed_in_place_or_reshaped_get_a_new_stencil():
     assert np.array_equal(got, _Stencil(mesh.a, mesh.h, mesh.m + 1, x)(vals))
     square = interp_uniform(mesh.a, mesh.h, vals, x.reshape(2, 2))
     assert np.array_equal(square, got.reshape(2, 2))
+
+
+def test_memo_compares_every_point_bit_for_bit():
+    # the memo hashes a few samples only, so it must keep its own copy of
+    # the points and compare all of them; -0.0 is not 0.0 to the memo
+    mesh = PanelMesh("left", 64)
+    vals = cubic(mesh.nodes)
+    x = np.linspace(0.0, 0.5, 64)
+    interp_uniform(mesh.a, mesh.h, vals, x)
+    x[1] = 0.3  # between the hashed samples
+    got = interp_uniform(mesh.a, mesh.h, vals, x)
+    assert np.array_equal(got, _Stencil(mesh.a, mesh.h, mesh.m + 1, x)(vals))
+    quadrature._located.cache_clear()
+    interp_uniform(mesh.a, mesh.h, vals, np.array([0.0, 0.3]))
+    interp_uniform(mesh.a, mesh.h, vals, np.array([-0.0, 0.3]))
+    interp_uniform(mesh.a, mesh.h, vals, np.array([-0.0, 0.3]))
+    info = quadrature._located.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 @pytest.mark.parametrize("x", [math.nan, [0.25, math.nan], -0.025, 0.525,
