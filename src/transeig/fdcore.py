@@ -10,9 +10,9 @@ conditions of every correction at roundoff level on any mesh.
 
 The two panels (0, 1/2) and (1/2, 1) share one panel axis: every field of
 a solve is a (2, M+1) panel array with the left panel in row 0 and the
-right panel in row 1, so each rule that is the same on both panels is
-written once. Per panel are only the zero approximation, the right panel's
-backward sweep from x = 1, and the interface-weighted substitution rule.
+right panel in row 1, so each rule is written once, the
+interface-weighted substitution rule included. Per panel are only the zero
+approximation and the right panel's backward sweep from x = 1.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .basis import zero_eigenfunction
 from .model import (BranchId, NonlinearitySpec, PotentialSpec,
                     TransmissionProblem)
 from .quadrature import (GridFunction, PanelFn, PanelMesh, _substitution,
-                         _weighted_trig, cumulative_simpson, sine_sweep)
+                         cumulative_simpson, sine_sweep)
 
 DEFAULT_MESH = 2048
 _PANELS = ("left", "right")
@@ -149,16 +149,21 @@ class Correction:
 class RhsField:
     """Right-hand side of a correction problem, split smooth/weighted.
 
-    The smooth parts are integrated directly; the weighted parts carry the
-    factor that multiplies the singular interface weight and go through the
-    substitution rule.
+    Both parts are (2, M+1) panel arrays. The smooth part is integrated
+    directly; the weighted part, None for a smooth potential, carries the
+    factor that multiplies the singular interface weight and goes through
+    the substitution rule.
     """
 
     lambda0: float
-    smooth1: PanelFn
-    smooth2: PanelFn
-    weighted1: PanelFn | None = None
-    weighted2: PanelFn | None = None
+    smooth: np.ndarray
+    weighted: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        shape = np.shape(self.smooth)
+        weighted = shape if self.weighted is None else np.shape(self.weighted)
+        if len(shape) != 2 or shape[0] != 2 or weighted != shape:
+            raise FdError("right-hand side needs (2, M+1) panel arrays")
 
 
 @dataclass
@@ -180,6 +185,8 @@ class FdSolution:
         return float(sum(c.lambda_j for c in self.corrections))
 
     def lambda_partial(self, k: int) -> float:
+        if not 0 <= k <= self.rank:
+            raise FdError(f"rank-{self.rank} solution has no partial sum {k}")
         return float(sum(c.lambda_j for c in self.corrections[: k + 1]))
 
     def u_total(self) -> GridFunction:
@@ -234,9 +241,9 @@ class _Frame:
         self.branch = branch
         self.lambda0 = lambda0
         self.omega = math.sqrt(lambda0)
-        self.meshes = tuple(PanelMesh(panel, mesh_m) for panel in _PANELS)
-        self.h = self.meshes[0].h
+        self.m = mesh_m
         self.x = _panel_nodes(mesh_m)
+        self.h = PanelMesh("left", mesh_m).h
         w = self.omega
         self.trig = np.stack([np.cos(w * self.x), np.sin(w * self.x)])
         self.sin_tail = np.sin(w * (1.0 - self.x[1]))
@@ -246,25 +253,25 @@ class _Frame:
         """Running cos and sin integrals of the panel field g, cos in row 0.
 
         weighted, if given, is the panel array that multiplies the interface
-        weight; each panel of it goes through the substitution rule.
+        weight; it goes through the substitution rule, cos and sin of both
+        panels in one call.
         """
         run = cumulative_simpson(g * self.trig, self.h)
         if weighted is not None:
-            for k, fn in enumerate(_rows(weighted)):
-                wc, ws = _weighted_trig(fn, *self.substituted_trig[k])
-                run[0, k] += wc
-                run[1, k] += ws
+            sub = _substitution(self.m)
+            psi = sub.at_points(weighted)[:, None] * self.substituted_trig
+            run += sub.running(psi).swapaxes(0, 1)
         return run
 
     @cached_property
     def substituted_trig(self):
-        """cos and sin of w*x(t) at the substituted points of both panels.
+        """cos and sin of w*x(t) at the substituted points, panel first.
 
-        Built by the first interface-weighted field and kept for the solve.
+        A (2, 2, M+1) array, cos in column 0. Built by the first
+        interface-weighted field and kept for the solve.
         """
-        w = self.omega
-        return tuple((np.cos(w * xs), np.sin(w * xs))
-                     for xs in (_substitution(m).xs for m in self.meshes))
+        wx = self.omega * _substitution(self.m).xs
+        return np.stack([np.cos(wx), np.sin(wx)], axis=1)
 
     def amplitude(self, cumulants) -> float:
         """Free amplitude from the cumulants of the final field."""
@@ -354,11 +361,8 @@ class _Engine(_Frame):
 
 def _rhs_frame(branch: BranchId, rhs: RhsField):
     """Frame for the right-hand side plus the cumulants of its field."""
-    frame = _Frame(branch, rhs.lambda0, rhs.smooth1.mesh.m)
-    g = np.stack([rhs.smooth1.values, rhs.smooth2.values])
-    weighted = (None if rhs.weighted1 is None else
-                np.stack([rhs.weighted1.values, rhs.weighted2.values]))
-    return frame, frame.cumulants(g, weighted)
+    frame = _Frame(branch, rhs.lambda0, rhs.smooth.shape[-1] - 1)
+    return frame, frame.cumulants(rhs.smooth, rhs.weighted)
 
 
 def lambda_correction(branch: BranchId, corrections: list[Correction],
@@ -381,9 +385,7 @@ def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
     u = np.stack([c.u for c in corrections])
     g, weighted = _driving_field([c.lambda_j for c in corrections], u,
                                  _potential_on_panels(q, x), adomian(n, u))
-    weighted = (None, None) if weighted is None else _rows(weighted)
-    return RhsField(zero.lambda_j, *_rows(g - lambda_next * zero.u),
-                    *weighted)
+    return RhsField(zero.lambda_j, g - lambda_next * zero.u, weighted)
 
 
 def c2_correction(branch: BranchId, rhs: RhsField) -> float:

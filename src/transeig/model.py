@@ -60,6 +60,8 @@ class PotentialSpec:
             raise ModelError("tabulated potential needs an evaluator")
         if self.kind == "polynomial" and not self.coeffs:
             raise ModelError("polynomial potential needs a coefficient")
+        if not 0.0 <= (self.tabulated_l1 or 0.0) < math.inf:
+            raise ModelError("tabulated L1 norm must be finite and >= 0")
 
     @staticmethod
     def polynomial(coeffs) -> "PotentialSpec":

@@ -6,8 +6,8 @@ along the last axis, so one call integrates both rows of a (2, M+1) panel
 array, the form in which the solver keeps its fields (left panel in row 0,
 right panel in row 1). The weighted variant removes the built-in
 |1/2 - x|**-0.5 interface singularity with the substitution
-t = sqrt(|1/2 - x|) and integrates a smooth function of t, one panel at a
-time.
+t = sqrt(|1/2 - x|) and integrates a smooth function of t; it too takes
+a panel array and integrates both panels in one call.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class _Stencil:
     """Four-point Lagrange stencils at fixed points of a uniform grid.
 
     Locating the stencils depends only on the grid and the points; applying
-    them to node values is four products summed in order.
+    them along the last axis of node values is four products summed in order.
     """
 
     def __init__(self, a: float, h: float, npts: int, x):
@@ -103,8 +103,10 @@ class _Stencil:
 
     def __call__(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
         s = self.start
-        return (self.w0 * f[s] + self.w1 * f[s + 1]
-                + self.w2 * f[s + 2] + self.w3 * f[s + 3])
+        return (self.w0 * f.take(s, axis=-1)
+                + self.w1 * f.take(s + 1, axis=-1)
+                + self.w2 * f.take(s + 2, axis=-1)
+                + self.w3 * f.take(s + 3, axis=-1))
 
 
 class _Points:
@@ -141,6 +143,8 @@ def _located(a: float, h: float, npts: int, points: _Points) -> _Stencil:
 def interp_uniform(a: float, h: float, values: NDArray, x) -> NDArray[np.float64]:
     """Local cubic (four-point Lagrange) interpolation on a uniform grid."""
     f = np.asarray(values, dtype=float)
+    if f.ndim != 1 or f.size < 4:
+        raise QuadratureError("interpolation needs 1-D values on >= 4 nodes")
     xq = np.asarray(x, dtype=float)
     out = _located(a, h, f.size, _Points(xq))(f)
     return out if np.ndim(x) else float(out[0])
@@ -199,68 +203,60 @@ class GridFunction:
 
 
 class _Substitution:
-    """t = sqrt(|1/2 - s|) on one panel, located once per mesh.
+    """t = sqrt(|1/2 - s|) on both panels of an m-mesh, located once.
 
-    Holds the step of the uniform t-mesh, the points x(t) on it, and the
-    cubic stencils at the value of t of each panel node.
+    Holds the step of the uniform t-mesh, the points x(t) on it as a
+    read-only panel array, and per panel the back map: the cubic stencils
+    at the value of t of each panel node.
     """
 
-    def __init__(self, mesh: PanelMesh):
-        t_top = sqrt(mesh.b - mesh.a)
-        t = np.linspace(0.0, t_top, mesh.m + 1)
-        self.left = mesh.panel == "left"
-        self.ht = t_top / mesh.m
-        self.xs = INTERFACE - t * t if self.left else INTERFACE + t * t
+    def __init__(self, m: int):
+        self.meshes = tuple(PanelMesh(panel, m) for panel in ("left", "right"))
+        t_top = sqrt(INTERFACE)
+        t = np.linspace(0.0, t_top, m + 1)
+        self.ht = t_top / m
+        self.xs = np.stack([INTERFACE - t * t, INTERFACE + t * t])
         self.xs.flags.writeable = False
-        self.back = _Stencil(0.0, self.ht, mesh.m + 1,
-                             np.sqrt(np.abs(INTERFACE - mesh.nodes)))
+        self.back = tuple(_Stencil(0.0, self.ht, m + 1,
+                                   np.sqrt(np.abs(INTERFACE - mesh.nodes)))
+                          for mesh in self.meshes)
+
+    def at_points(self, g) -> NDArray[np.float64]:
+        """The panel array g at x(t), one interpolation per panel."""
+        return np.stack([interp_uniform(mesh.a, mesh.h, row, xs)
+                         for mesh, row, xs in zip(self.meshes, g, self.xs)])
 
     def running(self, psi) -> NDArray[np.float64]:
-        """Running integral at the panel nodes of a transformed integrand.
+        """Running integrals at the panel nodes of integrands psi of t.
 
-        psi(t) is integrated on the uniform t-mesh and the running t-integral
-        is mapped back to the nodes by the cubic stencils.
+        psi is panel first; one call integrates it on the uniform t-mesh,
+        and each panel's back map takes its running t-integrals to its nodes.
         """
-        big_psi = cumulative_simpson(psi, self.ht)
-        if self.left:
-            out = 2.0 * (big_psi[-1] - self.back(big_psi))
-        else:
-            out = 2.0 * self.back(big_psi)
-        out[0] = 0.0
-        return out
+        run = cumulative_simpson(psi, self.ht)
+        left, right = self.back
+        run[0] = 2.0 * (run[0, ..., -1:] - left(run[0]))
+        run[1] = 2.0 * right(run[1])
+        run[..., 0] = 0.0
+        return run
 
 
-@lru_cache(maxsize=4)
-def _substitution(mesh: PanelMesh) -> _Substitution:
-    """The substitution of a panel mesh; both panels of two meshes fit."""
-    return _Substitution(mesh)
+@lru_cache(maxsize=2)
+def _substitution(m: int) -> _Substitution:
+    """The substitution of an m-mesh; two meshes fit."""
+    return _Substitution(m)
 
 
-def weighted_cumulative(g: PanelFn) -> NDArray[np.float64]:
-    """Running integral of |1/2 - s|**-0.5 * g(s) from the panel start.
+def weighted_cumulative(g) -> NDArray[np.float64]:
+    """Running integral of |1/2 - s|**-0.5 * g(s) from each panel's start.
 
-    The interface weight is removed by t = sqrt(|1/2 - s|): the transformed
-    integrand g(x(t)) is smooth in t.
+    g is a (2, M+1) panel array. The interface weight is removed by
+    t = sqrt(|1/2 - s|): the transformed integrand g(x(t)) is smooth in t.
     """
-    sub = _substitution(g.mesh)
-    return sub.running(g(sub.xs))
-
-
-def _weighted_trig(g: PanelFn, cos_xs, sin_xs):
-    """weighted_trig_cumulants given cos(w*x) and sin(w*x) at the x(t)."""
-    sub = _substitution(g.mesh)
-    gx = g(sub.xs)
-    return sub.running(gx * cos_xs), sub.running(gx * sin_xs)
-
-
-def weighted_trig_cumulants(g: PanelFn, w: float):
-    """Weighted running integrals of g(s)*cos(w*s) and g(s)*sin(w*s).
-
-    g is interpolated once at the transformed points; the trigonometric
-    factors are evaluated there exactly.
-    """
-    xs = _substitution(g.mesh).xs
-    return _weighted_trig(g, np.cos(w * xs), np.sin(w * xs))
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or len(g) != 2:
+        raise QuadratureError("weighted rule needs a (2, M+1) panel array")
+    sub = _substitution(g.shape[1] - 1)
+    return sub.running(sub.at_points(g))
 
 
 def sine_sweep(cosx, sinx, c_part, s_part, w: float):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdcore import FdSolution, _panel_nodes, _potential_on_panels, _rows
+from .fdcore import FdSolution, _panel_nodes, _potential_on_panels
 from .quadrature import (GridFunction, PanelMesh, cumulative_simpson,
                          weighted_cumulative)
 
@@ -86,8 +86,7 @@ def _integrated(sol: FdSolution, t: _Totals) -> ResidualReport:
     parts = cumulative_simpson(factor * t.u - nl(t.u),
                                PanelMesh("left", sol.mesh_m).h)
     if t.q is None:
-        for k, panel in enumerate(_rows(t.u)):
-            parts[k] -= weighted_cumulative(panel)
+        parts -= weighted_cumulative(t.u)
     nu1 = t.du[0] - t.du[0, 0] + parts[0]
     nu2 = nu1[-1] + t.du[1] - t.du[1, 0] + parts[1]
     return _finish("integrated", t.rank, (nu1, nu2))

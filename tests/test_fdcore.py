@@ -16,7 +16,7 @@ from transeig.fdcore import (DEFAULT_MESH, FdError, RhsField,
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
                             TransmissionProblem, load_problem)
 from transeig import quadrature
-from transeig.quadrature import PanelFn, PanelMesh
+from transeig.quadrature import PanelMesh
 from transeig.residual import residual_by_rank
 
 EX1 = TransmissionProblem(PotentialSpec.polynomial([0.0, 1.0, 3.0]),
@@ -298,6 +298,9 @@ def test_lambda_partial_and_truncate():
         assert trunc.lambda_total == sol.lambda_partial(k)
     with pytest.raises(FdError):
         sol.truncate(4)
+    for k in (-1, -2, 4):
+        with pytest.raises(FdError, match="partial sum"):
+            sol.lambda_partial(k)
     with pytest.raises(FdError):
         sol.truncate(-1)
 
@@ -388,16 +391,35 @@ def test_u_correction_constant_forcing():
     lam0 = zero_eigenvalue(B0)
     w = math.sqrt(lam0)
     mesh_left = PanelMesh("left", 256)
-    mesh_right = PanelMesh("right", 256)
     rhs = RhsField(lambda0=lam0,
-                   smooth1=PanelFn(mesh_left, np.ones(mesh_left.m + 1)),
-                   smooth2=PanelFn.zeros(mesh_right))
+                   smooth=np.stack([np.ones(257), np.zeros(257)]))
     u1, u2 = u_correction(B0, rhs, c2=0.0)
     exact = (1.0 - np.cos(w * mesh_left.nodes)) / lam0
     assert np.max(np.abs(u1.values - exact)) < 1e-10
     # cos(w/2) = -1/2 on family I, so the interface value is 1.5/lambda0
     assert u1.values[-1] == pytest.approx(1.5 / lam0, abs=1e-10)
     assert np.all(u2.values == 0.0)
+
+
+@pytest.mark.parametrize("smooth,weighted", [
+    (np.ones(65), None),
+    (np.ones((1, 65)), None),
+    (np.ones((2, 2, 65)), None),
+    (np.ones((2, 65)), np.ones(65)),
+    (np.ones((2, 65)), np.ones((2, 33))),
+], ids=["1d", "one-row", "3d", "1d-weighted", "weighted-other-mesh"])
+def test_rhs_field_refuses_anything_but_panel_arrays(smooth, weighted):
+    # a 1-D field would otherwise broadcast onto both panels
+    with pytest.raises(FdError, match="panel arrays"):
+        RhsField(zero_eigenvalue(B0), smooth, weighted)
+
+
+def test_rhs_assemble_gives_panel_arrays():
+    engine = _Engine(EX2, B0, 64)
+    corrections = [engine.zero_correction()]
+    rhs = rhs_assemble(0, corrections, 1.5, EX2.potential, EX2.nonlinearity)
+    assert rhs.smooth.shape == rhs.weighted.shape == (2, 65)
+    assert np.array_equal(rhs.weighted, corrections[0].u)
 
 
 def test_fd_solve_argument_validation():
@@ -440,8 +462,7 @@ def test_weighted_step_interpolates_only_off_the_nodes(monkeypatch):
 @pytest.mark.parametrize("rank", [8, 2])
 def test_forward_stencils_are_located_once_per_point_set(monkeypatch, rank):
     # the back maps are cached with the substitution; built before counting
-    for panel in ("left", "right"):
-        quadrature._substitution(PanelMesh(panel, 64))
+    quadrature._substitution(64)
     quadrature._located.cache_clear()
     built = []
 

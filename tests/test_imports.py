@@ -1,4 +1,7 @@
-"""Every imported name is used: a stand-in for a linter's unused-import rule."""
+"""Every imported name is used, and every private name of the package is read.
+
+Stand-ins for a linter's unused-import rule and a dead-code check.
+"""
 
 import ast
 from pathlib import Path
@@ -6,8 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "transeig").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src" / "transeig").glob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +43,47 @@ def test_checker_flags_only_unread_names():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level _names a source defines; dunder names are left out."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private names defined in the sources and loaded in none of them.
+
+    A name counts as read where it is loaded, as `_name` or `module._name`.
+    """
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for source in sources
+            for name in private_definitions(source) if name not in read]
+
+
+def test_dead_code_checker_flags_only_unread_private_names():
+    sources = ["import math\n_USED = 1\n_ORPHAN: int = 2\n__all__ = []\n"
+               "def _helper():\n    return _USED\n"
+               "class _Gone:\n    _inner = 3\n"
+               "def public():\n    _local = math.pi\n",
+               "from mod import _helper\nprint(_helper())\n"]
+    assert unread_private_names(sources) == ["_ORPHAN", "_Gone"]
+
+
+def test_every_private_name_of_the_package_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert sum(len(private_definitions(s)) for s in sources) > 40
+    assert unread_private_names(sources) == []

@@ -69,6 +69,16 @@ def test_tabulated_potential_explicit_norm_wins():
     assert l1_norm(q) == 7.5
 
 
+@pytest.mark.parametrize("l1", [math.nan, math.inf, -math.inf, -1.0, -1e-300],
+                         ids=["nan", "inf", "-inf", "negative", "tiny-negative"])
+def test_tabulated_l1_norm_must_be_finite_and_non_negative(l1):
+    # a nan norm used to give a nan radius, an infinite one a later error
+    with pytest.raises(ModelError, match="L1 norm"):
+        PotentialSpec.tabulated(lambda x: np.full_like(x, 2.0), l1=l1)
+    zero = PotentialSpec.tabulated(lambda x: np.zeros_like(x), l1=0.0)
+    assert l1_norm(zero) == 0.0
+
+
 def test_unknown_potential_kind():
     with pytest.raises(ModelError):
         PotentialSpec(kind="gaussian")

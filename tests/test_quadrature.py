@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transeig import quadrature
+from transeig.fdcore import _Frame
+from transeig.model import BranchId
 from transeig.quadrature import (GridFunction, PanelFn, PanelMesh,
                                  QuadratureError, _Stencil, _substitution,
                                  cumulative_simpson, interp_uniform,
-                                 kernel_convolution, weighted_cumulative,
-                                 weighted_trig_cumulants)
+                                 kernel_convolution, weighted_cumulative)
+
+PANELS = ("left", "right")
 
 
 def cubic(x):
@@ -123,6 +126,20 @@ def test_memoised_interp_uniform_is_a_fresh_stencil(n, a, h, shape, seed):
         assert np.array_equal(np.atleast_1d(got), _Stencil(a, h, n, x)(f))
 
 
+@pytest.mark.parametrize("values", [np.ones((2, 8)), np.float64(1.0)],
+                         ids=["panel-array", "scalar"])
+def test_interp_uniform_refuses_values_that_are_not_1d(values):
+    with pytest.raises(QuadratureError, match="1-D"):
+        interp_uniform(0.0, 0.1, values, 0.25)
+
+
+def test_interp_uniform_refuses_fewer_than_four_nodes():
+    # a cubic stencil on three nodes of x**2 would start at node -1
+    with pytest.raises(QuadratureError, match="4 nodes"):
+        interp_uniform(0.0, 1.0, np.array([0.0, 1.0, 4.0]), 1.5)
+    assert interp_uniform(0.0, 1.0, np.arange(4.0) ** 2, 1.5) == 2.25
+
+
 def test_points_changed_in_place_or_reshaped_get_a_new_stencil():
     mesh = PanelMesh("left", 20)
     vals = cubic(mesh.nodes)
@@ -170,7 +187,7 @@ def test_substituted_points_lie_on_their_panel(panel, m):
     # the left panel's last x(t) = 1/2 - t**2 rounds to -1.1e-16, which is
     # -3.6e-12 of a cell at m = 16384
     mesh = PanelMesh(panel, m)
-    xs = _substitution(mesh).xs
+    xs = _substitution(m).xs[PANELS.index(panel)]
     vals = np.cos(3.0 * mesh.nodes)
     assert np.array_equal(interp_uniform(mesh.a, mesh.h, vals, xs),
                           _Stencil(mesh.a, mesh.h, m + 1, xs)(vals))
@@ -192,31 +209,39 @@ def test_grid_function_dispatch():
     assert u.sup_norm == pytest.approx(0.5)
 
 
+def panel_array(m, fn):
+    """fn at the nodes of both panels, left panel in row 0."""
+    return np.stack([fn(PanelMesh(panel, m).nodes) for panel in PANELS])
+
+
 @pytest.mark.parametrize("panel,expected", [
     ("left", math.sqrt(2.0)),
     ("right", math.sqrt(2.0)),
 ])
 def test_weighted_rule_integrates_the_bare_weight(panel, expected):
-    mesh = PanelMesh(panel, 64)
-    g = PanelFn.from_callable(mesh, lambda x: np.ones_like(x))
-    running = weighted_cumulative(g)
+    g = panel_array(64, np.ones_like)
+    running = weighted_cumulative(g)[PANELS.index(panel)]
     assert running[0] == 0.0
     assert running[-1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_weighted_rule_linear_factor():
-    # integrand (1/2 - x)**(-1/2) * (1/2 - x) has the closed antiderivative
-    mesh = PanelMesh("left", 64)
-    g = PanelFn.from_callable(mesh, lambda x: 0.5 - x)
-    running = weighted_cumulative(g)
+    # integrand |1/2 - x|**(-1/2) * |1/2 - x| has the closed antiderivative
+    g = panel_array(64, lambda x: np.abs(0.5 - x))
     expected = (2.0 / 3.0) * 0.5 ** 1.5
-    assert running[-1] == pytest.approx(expected, abs=1e-12)
+    for running in weighted_cumulative(g):
+        assert running[-1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_weighted_rule_zero_factor():
-    mesh = PanelMesh("right", 32)
-    g = PanelFn.zeros(mesh)
-    assert np.all(weighted_cumulative(g) == 0.0)
+    assert np.all(weighted_cumulative(np.zeros((2, 33))) == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(65,), (1, 65), (3, 65), (2, 2, 65), ()])
+def test_weighted_rule_refuses_anything_but_a_panel_array(shape):
+    # a 1-D field would otherwise broadcast onto both panels
+    with pytest.raises(QuadratureError, match="panel array"):
+        weighted_cumulative(np.ones(shape))
 
 
 def test_weighted_rule_prefix_values_against_substituted_quadrature():
@@ -228,11 +253,14 @@ def test_weighted_rule_prefix_values_against_substituted_quadrature():
     def f(x):
         return math.cos(1.7 * x)
 
-    for panel, sign in (("left", -1.0), ("right", 1.0)):
+    g = panel_array(256, lambda x: np.cos(1.7 * x))
+    # the weighted part of a frame's cumulants, its smooth field zero
+    frame = _Frame(BranchId("I", 0, 1), w * w, 256)
+    trig_runs = frame.cumulants(np.zeros_like(g), g)
+    for k, (panel, sign) in enumerate((("left", -1.0), ("right", 1.0))):
         mesh = PanelMesh(panel, 256)
-        g = PanelFn.from_callable(mesh, lambda x: np.cos(1.7 * x))
-        running = weighted_cumulative(g)
-        c_run, s_run = weighted_trig_cumulants(g, w)
+        running = weighted_cumulative(g)[k]
+        c_run, s_run = trig_runs[:, k]
         for idx in (1, 64, 190, 256):
             tau = math.sqrt(abs(0.5 - mesh.nodes[idx]))
             lo, hi = (tau, math.sqrt(0.5)) if panel == "left" else (0.0, tau)
@@ -255,34 +283,88 @@ def test_weighted_rule_prefix_values_against_substituted_quadrature():
 @settings(max_examples=30, deadline=None)
 def test_cached_back_map_is_interp_uniform(half, panel, seed):
     mesh = PanelMesh(panel, 2 * half)
-    sub = _substitution(mesh)
+    sub = _substitution(mesh.m)
     values = np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.m + 1)
     tau = np.sqrt(np.abs(0.5 - mesh.nodes))
-    assert np.array_equal(sub.back(values),
+    assert np.array_equal(sub.back[PANELS.index(panel)](values),
                           interp_uniform(0.0, sub.ht, values, tau))
 
 
 @pytest.mark.parametrize("panel", ["left", "right"])
 def test_substitution_belongs_to_its_panel(panel):
+    # row k of the substitution of an m-mesh holds panel k's points x(t)
     mesh = PanelMesh(panel, 16)
-    sub = _substitution(mesh)
-    assert sub is _substitution(PanelMesh(panel, 16))
+    sub = _substitution(16)
+    assert sub is _substitution(16)
     assert sub.ht == math.sqrt(0.5) / 16
+    xs = sub.xs[PANELS.index(panel)]
     far = mesh.a if panel == "left" else mesh.b
-    assert sub.xs[0] == 0.5 and sub.xs[-1] == pytest.approx(far, abs=1e-15)
-    assert not sub.xs.flags.writeable
+    assert xs[0] == 0.5 and xs[-1] == pytest.approx(far, abs=1e-15)
+    assert np.all((xs >= mesh.a - 1e-15) & (xs <= mesh.b))
+    assert sub.xs.shape == (2, 17) and not sub.xs.flags.writeable
 
 
 def test_weighted_rule_fourth_order():
     from scipy.integrate import quad
     errs = []
     for m in (64, 128):
-        mesh = PanelMesh("right", m)
-        g = PanelFn.from_callable(mesh, lambda x: np.exp(x - 0.5))
-        running = weighted_cumulative(g)
+        g = panel_array(m, lambda x: np.exp(x - 0.5))
+        running = weighted_cumulative(g)[1]
         ref, _ = quad(lambda t: 2.0 * math.exp(t * t), 0.0, math.sqrt(0.5))
         errs.append(abs(running[-1] - ref))
     assert errs[0] / errs[1] > 12.0
+
+
+def weighted_cumulative_by_panel(mesh, values, factor=None):
+    """The weighted rule on one panel, written as it was before the panel axis.
+
+    values holds the panel's nodes. g(x(t)) comes from interp_uniform and,
+    times factor(x(t)) if given, is integrated on the uniform t-mesh; the
+    running t-integral goes back to the nodes through interp_uniform too.
+    """
+    left = mesh.panel == "left"
+    t_top = math.sqrt(mesh.b - mesh.a)
+    t = np.linspace(0.0, t_top, mesh.m + 1)
+    ht = t_top / mesh.m
+    xs = 0.5 - t * t if left else 0.5 + t * t
+    psi = interp_uniform(mesh.a, mesh.h, values, xs)
+    if factor is not None:
+        psi = psi * factor(xs)
+    big_psi = cumulative_simpson(psi, ht)
+    back = interp_uniform(0.0, ht, big_psi, np.sqrt(np.abs(0.5 - mesh.nodes)))
+    out = 2.0 * (big_psi[-1] - back) if left else 2.0 * back
+    out[0] = 0.0
+    return out
+
+
+def _signed_panel_array(rng, m):
+    """A random panel array over several magnitudes, a tenth of it -0.0."""
+    g = rng.standard_normal((2, m + 1)) * 10.0 ** rng.integers(-4, 5)
+    g[rng.random(g.shape) < 0.1] = -0.0
+    return g
+
+
+# Both panels in one call must add and round exactly as the rule by panel,
+# signed zeros included; tobytes() sees -0.0 where array_equal does not.
+@given(half=st.integers(2, 2048), lam=st.floats(0.25, 1600.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_panel_axis_rule_equals_the_rule_by_panel(half, lam, seed):
+    m = 2 * half
+    rng = np.random.default_rng(seed)
+    g, smooth = _signed_panel_array(rng, m), _signed_panel_array(rng, m)
+    meshes = [PanelMesh(panel, m) for panel in PANELS]
+    by_panel = [weighted_cumulative_by_panel(mesh, row)
+                for mesh, row in zip(meshes, g)]
+    assert weighted_cumulative(g).tobytes() == np.stack(by_panel).tobytes()
+    frame = _Frame(BranchId("I", 0, 1), lam, m)
+    w = frame.omega
+    expected = cumulative_simpson(smooth * frame.trig, frame.h)
+    for k, (mesh, row) in enumerate(zip(meshes, g)):
+        for i, trig in enumerate((np.cos, np.sin)):
+            expected[i, k] += weighted_cumulative_by_panel(
+                mesh, row, lambda xs: trig(w * xs))
+    assert frame.cumulants(smooth, g).tobytes() == expected.tobytes()
 
 
 def test_kernel_constant_forcing():
