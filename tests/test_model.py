@@ -70,7 +70,7 @@ def test_tabulated_potential_explicit_norm_wins():
 
 
 @pytest.mark.parametrize("l1", [math.nan, math.inf, -math.inf, -1.0, -1e-300],
-                         ids=["nan", "inf", "-inf", "negative", "tiny-negative"])
+                         ids=["nan", "inf", "-inf", "negative", "tiny"])
 def test_tabulated_l1_norm_must_be_finite_and_non_negative(l1):
     # a nan norm used to give a nan radius, an infinite one a later error
     with pytest.raises(ModelError, match="L1 norm"):
