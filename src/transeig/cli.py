@@ -29,8 +29,9 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise ModelError("rank must be non-negative")
     if args.mesh % 2 or args.mesh < 4:
         raise ModelError("mesh size must be even and at least 4")
-    if getattr(args, "tol", 1.0) <= 0.0:
-        raise ModelError("tolerance must be positive")
+    # `not <` also refuses nan, which `tol <= 0.0` lets through
+    if not 0.0 < getattr(args, "tol", 1.0) < math.inf:
+        raise ModelError("tolerance must be finite and positive")
     if getattr(args, "jobs", 1) < 1:
         raise ModelError("worker count must be at least 1")
 

@@ -5,12 +5,14 @@ Runge-Kutta pair (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and
 II.10), applies the unit slope jump at the interface, and root-finds the
 terminal boundary defect over lambda. The integrator is solve_ivp's
 DOP853, with its tableau, initial step, error norm and step control, run
-on Python floats for the 2-vector (u, u'): the tableau is carried here as
-float constants, a stage sums only its nonzero coefficients, no numpy array
-is made per stage, and nothing outlives a shot. The root finder is a port
-of scipy's brentq, so the module imports nothing from scipy. Only smooth
-potentials are supported; the fixed slope at the origin removes the
-scaling freedom, so lambda is the single unknown.
+on Python floats for the 2-vector (u, u'). The tableau is carried here as
+float constants, and at import one straight-line function is generated
+from it: the twelve stages, the new state and both error sums of one step,
+each sum written out over its nonzero coefficients, so a step makes no
+loop, no list and no numpy array, and nothing outlives a shot. The root
+finder is a port of scipy's brentq, so the module imports nothing from
+scipy. Only smooth potentials are supported; the fixed slope at the origin
+removes the scaling freedom, so lambda is the single unknown.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FLUX_JUMP, INTERFACE, SLOPE_AT_ZERO, TransmissionProblem,
-                    horner)
+from .model import FLUX_JUMP, INTERFACE, SLOPE_AT_ZERO, TransmissionProblem
 
 
 @dataclass
@@ -41,22 +42,32 @@ def shoot(problem: TransmissionProblem, lam: float,
     """Integrate from x=0 with (u, u') = (0, 1) and report u(1).
 
     A failed integration raises ValueError, like a bracket without a sign
-    change, so a caller can move on to its next bracket.
+    change, so a caller can move on to its next bracket; so does a tol
+    that is not finite and positive.
     """
+    _check_tol(tol)
     q = problem.potential
     if q.is_singular:
         raise ValueError("shooting requires a potential that is finite on "
                          "each panel; validate singular problems through "
                          "the integrated residual instead")
-    # The model's Horner rule on Python floats: the operands and order of
+    # model.horner inlined on Python floats: the operands and order of
     # PotentialSpec/NonlinearitySpec.__call__, so every shot is bit-identical,
-    # without a 0-d numpy array per multiply and add.
-    poly = q.coeffs if q.kind == "polynomial" else None
-    n = (0.0,) + problem.nonlinearity.coeffs
+    # without a 0-d numpy array or a function call per polynomial.
+    poly = tuple(reversed(q.coeffs)) if q.kind == "polynomial" else None
+    n = tuple(reversed((0.0,) + problem.nonlinearity.coeffs))
 
     def rhs(x, u, du):
-        qx = horner(poly, x) if poly is not None else float(q(x))
-        return du, (qx - lam) * u + horner(n, u)
+        if poly is None:
+            qx = float(q(x))
+        else:
+            qx = 0.0
+            for c in poly:
+                qx = qx * x + c
+        nu = 0.0
+        for c in n:
+            nu = nu * u + c
+        return du, (qx - lam) * u + nu
 
     xs, us, dus, nfev = [], [], [], 0
     state = (0.0, SLOPE_AT_ZERO)
@@ -134,13 +145,40 @@ _E3 = ((0, -0.18980075407240762), (5, 4.450312892752409),
        (10, 0.20136540080403034), (11, 0.02265179219836082))
 
 
-def _dot(pairs, ku, kv):
-    """sum_j coef_j * k[j] for each component, over (j, coef_j) pairs."""
-    du = dv = 0.0
-    for j, coef in pairs:
-        du += coef * ku[j]
-        dv += coef * kv[j]
-    return du, dv
+def _generate_step():
+    """One DOP853 step as straight-line code, generated from the tableau.
+
+    step(f, x, h, u, v, fu, fv) makes the 12 f calls of a step from (u, v)
+    at x with f(x, u, v) = (fu, fv) and returns the new state, f at the new
+    point and the E5 and E3 error sums: u_new, v_new, fu_new, fv_new, e5u,
+    e5v, e3u, e3v. Stage j is (k{j}u, k{j}v), stage 0 (fu, fv). Each sum is
+    written 0.0 + c * k_j + ..., left to right over the tableau's pairs, so
+    it rounds as the loop "s = 0.0; s += c * k_j" does.
+    """
+    def total(pairs, part):
+        return " + ".join(["0.0"] + [f"{coef!r} * k{j}{part}"
+                                     for j, coef in pairs])
+
+    last = len(_A) + 1
+    lines = ["def step(f, x, h, u, v, fu, fv):", "    k0u, k0v = fu, fv"]
+    for s, (row, c) in enumerate(zip(_A, _C), start=1):
+        lines.append(f"    k{s}u, k{s}v = f(x + {c!r} * h, "
+                     f"u + ({total(row, 'u')}) * h, "
+                     f"v + ({total(row, 'v')}) * h)")
+    lines += [f"    u_new = u + h * ({total(_B, 'u')})",
+              f"    v_new = v + h * ({total(_B, 'v')})",
+              f"    k{last}u, k{last}v = f(x + h, u_new, v_new)",
+              f"    return (u_new, v_new, k{last}u, k{last}v,",
+              f"            {total(_E5, 'u')},",
+              f"            {total(_E5, 'v')},",
+              f"            {total(_E3, 'u')},",
+              f"            {total(_E3, 'v')})"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<DOP853 step>", "exec"), namespace)
+    return namespace["step"]
+
+
+_step = _generate_step()
 
 
 def _sumsq(p, q):
@@ -195,22 +233,12 @@ def _dop853(f, a, b, y0, rtol, atol):
                                  "between numbers.")
             x_new = min(x + h_abs, b)
             h = x_new - x
-            ku, kv = [fu], [fv]
-            for row, c in zip(_A, _C):
-                du, dv = _dot(row, ku, kv)
-                gu, gv = f(x + c * h, u + du * h, v + dv * h)
-                ku.append(gu)
-                kv.append(gv)
-            du, dv = _dot(_B, ku, kv)
-            u_new, v_new = u + h * du, v + h * dv
-            fu_new, fv_new = f(x + h, u_new, v_new)
-            ku.append(fu_new)
-            kv.append(fv_new)
-            nfev += len(ku) - 1
+            (u_new, v_new, fu_new, fv_new,
+             e5u, e5v, e3u, e3v) = _step(f, x, h, u, v, fu, fv)
+            # the 11 rows of _A and f at the new point
+            nfev += 12
             su = atol + max(abs(u), abs(u_new)) * rtol
             sv = atol + max(abs(v), abs(v_new)) * rtol
-            e5u, e5v = _dot(_E5, ku, kv)
-            e3u, e3v = _dot(_E3, ku, kv)
             err5 = _sumsq(e5u / su, e5v / sv)
             denom = err5 + 0.01 * _sumsq(e3u / su, e3v / sv)
             error_norm = h * err5 / math.sqrt(denom * 2) if denom else 0.0
@@ -237,6 +265,7 @@ def find_eigenvalue(problem: TransmissionProblem,
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
+    _check_tol(tol)
     shot_tol = max(tol, 1e-13)
 
     shots: dict[float, float] = {}
@@ -256,6 +285,12 @@ def find_eigenvalue(problem: TransmissionProblem,
         raise ValueError(f"the shooting value u(1) does not change sign "
                          f"on [{lo}, {hi}]")
     return _brentq(miss, lo, hi, xtol=tol)
+
+
+def _check_tol(tol: float) -> None:
+    # `not <` also refuses nan, which max() and brentq's xtol check pass on
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, not {tol}")
 
 
 # scipy.optimize.brentq's defaults: rtol = 4 * eps and 100 iterations.

@@ -272,7 +272,10 @@ def test_malformed_problem_file_exits_2(tmp_path, capsys, record):
     ["sweep", "--first", "0"],
     ["sweep", "--first", "2", "--jobs", "0"],
     ["validate", "--first", "0"],
-], ids=["rank", "mesh", "tol", "first", "jobs", "validate-first"])
+    ["validate", "--tol", "nan"],
+    ["validate", "--tol", "inf"],
+], ids=["rank", "mesh", "tol", "first", "jobs", "validate-first", "tol-nan",
+        "tol-inf"])
 def test_out_of_range_flags_exit_2(tmp_path, capsys, flags):
     code = cli.main(flags + ["--problem", str(EX1),
                              "--out", str(tmp_path / "out")])

@@ -17,7 +17,7 @@ from transeig.basis import ascending_branches
 from transeig.fdcore import fd_solve
 from transeig.model import (FLUX_JUMP, INTERFACE, SLOPE_AT_ZERO, BranchId,
                             NonlinearitySpec, PotentialSpec,
-                            TransmissionProblem, load_problem)
+                            TransmissionProblem, horner, load_problem)
 from transeig.oracle import find_eigenvalue, shoot
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -346,6 +346,94 @@ def test_tableau_is_scipys_dop853():
         zeros += [(s, j) for j, coef in row if coef == 0.0]
     assert zeros == [(n + 1, n)]
     assert sum(len(row) for _, row in sums) == 75
+
+
+def dot(pairs, ku, kv):
+    """sum_j coef_j * k[j] for each component, over (j, coef_j) pairs."""
+    du = dv = 0.0
+    for j, coef in pairs:
+        du += coef * ku[j]
+        dv += coef * kv[j]
+    return du, dv
+
+
+def step_by_loop(f, x, h, u, v, fu, fv):
+    """One DOP853 step as a loop over the tableau's pairs.
+
+    The reference for the generated oracle._step: the same stages and sums,
+    each summed from 0.0 in stage order.
+    """
+    ku, kv = [fu], [fv]
+    for row, c in zip(oracle._A, oracle._C):
+        du, dv = dot(row, ku, kv)
+        gu, gv = f(x + c * h, u + du * h, v + dv * h)
+        ku.append(gu)
+        kv.append(gv)
+    du, dv = dot(oracle._B, ku, kv)
+    u_new, v_new = u + h * du, v + h * dv
+    fu_new, fv_new = f(x + h, u_new, v_new)
+    ku.append(fu_new)
+    kv.append(fv_new)
+    return (u_new, v_new, fu_new, fv_new, *dot(oracle._E5, ku, kv),
+            *dot(oracle._E3, ku, kv))
+
+
+def polynomial_rhs(q, n, lam):
+    """shoot's right-hand side for the polynomials q and N, by model.horner."""
+    n = (0.0,) + tuple(n)
+    return lambda x, u, du: (du, (horner(q, x) - lam) * u + horner(n, u))
+
+
+def bits(values):
+    return ["nan" if math.isnan(value) else value.hex() for value in values]
+
+
+# A step of u' = v, v' = u**6 - u on which only f at the new point
+# overflows: every stage is finite, v' is inf at (u_new, v_new)
+LAST_STAGE_OVERFLOWS = dict(x=0.0, h=0.5, u=1.8954324985587818, v=1.0,
+                            fu=1.0, fv=44.475938456998904, q=[0.0],
+                            n=[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], lam=1.0)
+
+
+@given(x=st.floats(0.0, 1.0), h=st.floats(0.0, 1.0, exclude_min=True),
+       u=st.floats(-1e3, 1e3), v=st.floats(-1e3, 1e3),
+       fu=st.floats(-1e3, 1e3), fv=st.floats(-1e3, 1e3),
+       q=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+       n=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=6),
+       lam=st.floats(5.0, 400.0))
+@example(**LAST_STAGE_OVERFLOWS)
+@settings(max_examples=200, deadline=None)
+def test_generated_step_sums_as_the_stage_loop(x, h, u, v, fu, fv, q, n, lam):
+    f = polynomial_rhs(q, n, lam)
+    got = oracle._step(f, x, h, u, v, fu, fv)
+    assert bits(got) == bits(step_by_loop(f, x, h, u, v, fu, fv))
+    # E5 weighs f at the new point by 0.0: a non-finite value there makes
+    # the error sum nan, which rejects the step
+    for f_new, e5 in zip(got[2:4], got[4:6]):
+        assert math.isfinite(f_new) or math.isnan(e5)
+
+
+def test_a_last_stage_overflow_makes_the_error_sum_nan():
+    args = dict(LAST_STAGE_OVERFLOWS)
+    f = polynomial_rhs(args.pop("q"), args.pop("n"), args.pop("lam"))
+    values = []
+
+    def recorded(*point):
+        values.append(f(*point))
+        return values[-1]
+
+    u_new, v_new, fu_new, fv_new, e5u, e5v, _, _ = oracle._step(recorded,
+                                                               **args)
+    assert np.isfinite(values[:-1]).all() and math.isfinite(u_new + v_new)
+    assert fv_new == math.inf and math.isnan(e5v)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_a_tol_outside_zero_to_inf_is_refused(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        shoot(FREE, 20.0, tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        find_eigenvalue(FREE, (15.0, 20.0), tol=tol)
 
 
 def cubic(c):
