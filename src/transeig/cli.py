@@ -14,6 +14,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .basis import ascending_branches, zero_eigenvalue
 from .convergence import convergence_report
 from .fdcore import DEFAULT_MESH, fd_solve
@@ -70,7 +72,13 @@ def _branch_payload(problem: TransmissionProblem, args: argparse.Namespace,
     """Solve one branch and render its CSV and JSON texts."""
     rank = args.rank
     sol = fd_solve(problem, branch, rank, args.mesh)
-    reports = residual_by_rank(sol)
+    # an overflow shows as a non-finite norm, refused below as one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = residual_by_rank(sol)
+    for r in reports:
+        if not math.isfinite(r.combined):
+            raise ValueError(f"{branch.tag}: residual norm at rank {r.rank} "
+                             f"is {r.combined}; nothing was written")
     zero_count = count_interior_zeros(sol.u_total())
     conv = convergence_report(l1_norm(problem.potential),
                               problem.nonlinearity, branch, rank)

@@ -37,61 +37,35 @@ class FdError(ValueError):
     """Recursion cannot proceed with the given inputs."""
 
 
-class _Stack:
-    """Equal-shaped terms in one array, row k holding the term of rank k.
-
-    Sized for the expected rank, the array doubles when appended past it;
-    rows taken before keep their values. Each Correction.u is a row view.
-    """
-
-    def __init__(self, rows: int = 1):
-        self.data, self.rows, self.size = None, rows, 0
-
-    def append(self, value) -> np.ndarray:
-        """Write value into the next row and return that row's view."""
-        if self.data is None:
-            self.data = np.empty((self.rows,) + np.shape(value))
-        elif self.size == len(self.data):
-            self.data = np.concatenate([self.data, np.empty_like(self.data)])
-        self.data[self.size] = value
-        self.size += 1
-        return self.data[self.size - 1]
-
-
 class _AdomianSeries:
     """Adomian terms of N(sum_k u(k) t**k), one rank per push.
 
-    It keeps the terms of u**1..u**(d-1) pushed so far as stacks, d being
-    the degree of the highest nonzero coefficient; the stack of u**1 may be
-    the solver's own. A push forms only the t**j term of each power, one
-    einsum over the rank axis that adds r = 0..j in order from 0.0; the
-    term of u**d goes straight into A_j and is not stored.
+    u is the caller's array with u(k) in row k. The series keeps the terms
+    of u**2..u**(d-1) in arrays shaped like u, d being the degree of the
+    highest nonzero coefficient. A push forms only the t**j term of each
+    power, one einsum over the rank axis that adds r = 0..j in order from
+    0.0; the term of u**d goes straight into A_j and is not stored.
     """
 
-    def __init__(self, n: NonlinearitySpec, u: _Stack | None = None):
+    def __init__(self, n: NonlinearitySpec, u: np.ndarray):
         degree = max((i for i, a in enumerate(n.coeffs, start=1) if a != 0.0),
                      default=0)
         self.coeffs = n.coeffs[:degree]
-        u = _Stack() if u is None else u
-        self.powers = ([u] + [_Stack(u.rows)
-                              for _ in range(degree - 2)])[:degree - 1]
-        self.rank = -1
+        self.u = u
+        self.powers = [u] + [np.empty_like(u) for _ in range(degree - 2)]
 
-    def push(self, u_j):
-        """Take the term u(j) and return A_j."""
-        self.rank += 1
-        j = self.rank
-        out = np.zeros_like(u_j)
-        term = u_j
+    def push(self, j: int):
+        """A_j; row j of u must hold u(j) already."""
+        u, term = self.u, self.u[j]
+        out = np.zeros_like(term)
         for i, a in enumerate(self.coeffs, start=1):
             if a != 0.0:
                 out = out + a * term
             if i < len(self.coeffs):
-                power, u = self.powers[i - 1], self.powers[0]
-                if power.size == j:  # a solver's stack holds u(j) already
-                    power.append(term)
-                term = np.einsum("k...,k...->...", power.data[:j + 1],
-                                 u.data[j::-1])
+                power = self.powers[i - 1]
+                if i > 1:
+                    power[j] = term
+                term = np.einsum("k...,k...->...", power[:j + 1], u[j::-1])
         return out
 
 
@@ -100,15 +74,15 @@ def adomian(n: NonlinearitySpec, u_values):
 
     u_values holds the terms u(0)..u(j) (scalars or equal-shaped arrays) and
     the result is the coefficient of t**j in N(sum_k u(k) t**k). This is a
-    view of the incremental series the solver keeps: every term is pushed
-    and the last A_j is returned. A_0 equals N(u(0)).
+    view of the incremental series the solver keeps on its stacked terms:
+    every rank is pushed and the last A_j is returned. A_0 equals N(u(0)).
     """
     seq = [np.asarray(v, dtype=float) for v in u_values]
     if not seq:
         raise FdError("adomian needs at least the zero-order term")
-    series = _AdomianSeries(n, _Stack(len(seq)))
-    for term in np.stack(np.broadcast_arrays(*seq)):
-        out = series.push(term)
+    series = _AdomianSeries(n, np.stack(np.broadcast_arrays(*seq)))
+    for j in range(len(seq)):
+        out = series.push(j)
     return out if out.ndim else float(out)
 
 
@@ -234,7 +208,7 @@ class _Frame:
     trig stacks cos(w*x) and sin(w*x) at the nodes as panel arrays, so the
     cos and sin cumulants of a field take one quadrature call. The engine
     is a frame plus the problem data; the step-level functions build a bare
-    frame for a given right-hand side.
+    frame for the fields they are given.
     """
 
     def __init__(self, branch: BranchId, lambda0: float, mesh_m: int):
@@ -273,6 +247,13 @@ class _Frame:
         wx = self.omega * _substitution(self.m).xs
         return np.stack([np.cos(wx), np.sin(wx)], axis=1)
 
+    def weight_total(self, cumulants) -> float:
+        """Combine full-interval cumulants against the family weight."""
+        c, s = cumulants[..., -1].sum(axis=-1)
+        if self.branch.family == "I":
+            return math.sin(self.omega) * c - math.cos(self.omega) * s
+        return s
+
     def amplitude(self, cumulants) -> float:
         """Free amplitude from the cumulants of the final field."""
         cf, sf = cumulants[..., -1].sum(axis=-1)  # both panels' end values
@@ -301,52 +282,44 @@ class _Frame:
 
 
 class _Engine(_Frame):
-    """Per-solve state: meshes, trig tables, zero cumulants and u's stack."""
+    """Per-solve state: zero cumulants, potential, Adomian series and u.
+
+    u is one (rank+1, 2, M+1) array, sized once, that the series reads too;
+    row 0 is the zero approximation and step j writes row j+1, which the
+    returned Correction.u views.
+    """
 
     def __init__(self, problem: TransmissionProblem, branch: BranchId,
-                 mesh_m: int = DEFAULT_MESH, rank: int = 0):
+                 mesh_m: int, rank: int):
         if mesh_m % 2 or mesh_m < 4:
             raise FdError("mesh size must be even and at least 4")
         self.zero = zero_eigenfunction(branch)
         super().__init__(branch, self.zero.lambda0, mesh_m)
-        self.problem = problem
         left, right = self.x
-        self.u = _Stack(rank + 1)
-        self.u_zero = self.u.append([self.zero.u1(left), self.zero.u2(right)])
-        self.zero_cumulants = self.cumulants(self.u_zero)
-        self.denominator = self._weight_total(self.zero_cumulants)
+        self.u = np.empty((rank + 1, 2, mesh_m + 1))
+        self.u[0] = [self.zero.u1(left), self.zero.u2(right)]
+        self.filled = 1
+        self.zero_cumulants = self.cumulants(self.u[0])
+        self.denominator = self.weight_total(self.zero_cumulants)
         self.q = _potential_on_panels(problem.potential, self.x)
         self.series = _AdomianSeries(problem.nonlinearity, self.u)
-
-    def _weight_total(self, cumulants) -> float:
-        """Combine full-interval cumulants against the family weight."""
-        c, s = cumulants[..., -1].sum(axis=-1)
-        if self.branch.family == "I":
-            return math.sin(self.omega) * c - math.cos(self.omega) * s
-        return s
 
     def zero_correction(self) -> Correction:
         left, right = self.x
         du = np.stack([self.zero.du1(left), self.zero.du2(right)])
-        return Correction(self.lambda0, self.u_zero, du, self.zero.c2_zero)
-
-    def _adomian_term(self, corrections: list[Correction]):
-        """A_j on both panels, pushing the corrections not seen yet."""
-        for c in corrections[self.series.rank + 1:]:
-            self.a_j = self.series.push(c.u)
-        return self.a_j
+        return Correction(self.lambda0, self.u[0], du, self.zero.c2_zero)
 
     def step(self, corrections: list[Correction]) -> Correction:
-        """The next correction; its u is the next row of the stack."""
-        if len(corrections) < self.u.size:
-            raise FdError("step needs every correction it has seen")
-        for c in corrections[self.u.size:]:
-            self.u.append(c.u)
+        """The next correction from this engine's corrections 0..j."""
+        j = len(corrections) - 1
+        # a repeated step would overwrite the row an earlier Correction views
+        if not j + 1 == self.filled < len(self.u):
+            raise FdError("step needs the engine's corrections 0..j, j < rank")
         g, weighted = _driving_field([c.lambda_j for c in corrections],
-                                     self.u.data[:self.u.size], self.q,
-                                     self._adomian_term(corrections))
+                                     self.u[:j + 1], self.q,
+                                     self.series.push(j))
         cumulants = self.cumulants(g, weighted)
-        lam = self._weight_total(cumulants) / self.denominator
+        lam = self.weight_total(cumulants) / self.denominator
         # the final field is the driving field minus lam times the zero
         # approximation, so its cumulants follow by linearity
         final = cumulants - lam * self.zero_cumulants
@@ -355,8 +328,10 @@ class _Engine(_Frame):
         if not all(np.isfinite(v).all() for v in (lam, u, du)):
             raise FdError(f"correction {len(corrections)} is not finite; "
                           "the series diverges")
-        rhs = None if self.q is None else g - lam * self.u_zero
-        return Correction(lam, self.u.append(u), du, amp, rhs)
+        rhs = None if self.q is None else g - lam * self.u[0]
+        self.u[j + 1] = u
+        self.filled += 1
+        return Correction(lam, self.u[j + 1], du, amp, rhs)
 
 
 def _rhs_frame(branch: BranchId, rhs: RhsField):
@@ -365,14 +340,24 @@ def _rhs_frame(branch: BranchId, rhs: RhsField):
     return frame, frame.cumulants(rhs.smooth, rhs.weighted)
 
 
+def _driving(corrections: list[Correction], q: PotentialSpec,
+             n: NonlinearitySpec):
+    """Driving field and weighted factor of the next problem, from scratch."""
+    u = np.stack([c.u for c in corrections])
+    q = _potential_on_panels(q, _panel_nodes(u.shape[-1] - 1))
+    return _driving_field([c.lambda_j for c in corrections], u, q,
+                          adomian(n, u))
+
+
 def lambda_correction(branch: BranchId, corrections: list[Correction],
                       q: PotentialSpec, n: NonlinearitySpec) -> float:
     """Next eigenvalue term from the corrections computed so far."""
     if not corrections:
         raise FdError("need at least the zero-order correction")
-    engine = _Engine(TransmissionProblem(q, n), branch,
-                     corrections[0].u.shape[-1] - 1, len(corrections))
-    return engine.step(corrections).lambda_j
+    zero = corrections[0]
+    frame = _Frame(branch, zero.lambda_j, zero.u.shape[-1] - 1)
+    return (frame.weight_total(frame.cumulants(*_driving(corrections, q, n)))
+            / frame.weight_total(frame.cumulants(zero.u)))
 
 
 def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
@@ -380,11 +365,8 @@ def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
     """Right-hand side of the rank-(j+1) problem, given its eigenvalue."""
     if j != len(corrections) - 1:
         raise FdError("rhs_assemble expects corrections 0..j")
+    g, weighted = _driving(corrections, q, n)
     zero = corrections[0]
-    x = _panel_nodes(zero.u.shape[-1] - 1)
-    u = np.stack([c.u for c in corrections])
-    g, weighted = _driving_field([c.lambda_j for c in corrections], u,
-                                 _potential_on_panels(q, x), adomian(n, u))
     return RhsField(zero.lambda_j, g - lambda_next * zero.u, weighted)
 
 

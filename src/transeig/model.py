@@ -250,18 +250,32 @@ def _json(value, kind: type, what: str):
     return value
 
 
+def _record(value, what: str, keys: tuple[str, ...]) -> dict:
+    """value itself if it is a JSON object with no key outside keys.
+
+    A misspelled key would otherwise be dropped and its default solved.
+    """
+    unknown = sorted(set(_json(value, dict, what)) - set(keys))
+    if unknown:
+        raise ModelError(f"{what} has unknown key {unknown[0]!r}; "
+                         f"it takes {', '.join(keys)}")
+    return value
+
+
 def _potential_from_dict(data: dict) -> PotentialSpec:
     kind = _json(data, dict, "potential record").get("kind")
     if kind == "polynomial":
+        _record(data, "potential record", ("kind", "coeffs"))
         return PotentialSpec.polynomial(
             _json(data.get("coeffs", [0.0]), list, "potential coeffs"))
     if kind == "inverse_sqrt_half":
+        _record(data, "potential record", ("kind",))
         return PotentialSpec.inverse_sqrt_half()
     raise ModelError(f"unsupported potential kind in problem file: {kind!r}")
 
 
 def _branch_from_dict(data: dict) -> BranchId:
-    _json(data, dict, "branch record")
+    _record(data, "branch record", ("family", "n", "sign"))
     try:
         family = data["family"]
         n = data["n"]
@@ -283,12 +297,13 @@ def load_problem(path) -> tuple[TransmissionProblem, BranchId | None]:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read problem file {path}: {exc}") from exc
-    _json(data, dict, "problem file")
+    _record(data, "problem file", ("potential", "nonlinearity", "branch"))
     if "potential" not in data:
         raise ModelError("problem file lacks a potential record")
     potential = _potential_from_dict(data["potential"])
     nl = data.get("nonlinearity")
-    nl = {} if nl is None else _json(nl, dict, "nonlinearity record")
+    nl = {} if nl is None else _record(nl, "nonlinearity record",
+                                       ("coeffs_from_degree_1",))
     coeffs = _json(nl.get("coeffs_from_degree_1", []), list,
                    "nonlinearity coefficients")
     nonlinearity = NonlinearitySpec(tuple(coeffs))

@@ -69,8 +69,8 @@ def _running_totals(sol: FdSolution):
 def _finish(kind: str, rank: int, nu) -> ResidualReport:
     """Report from the residual nu on the left and on the right panel."""
     norms = [float(np.max(np.abs(row))) for row in nu]
-    combined = max(norms)
-    log_value = math.log(combined) if combined > 0.0 else -math.inf
+    combined = float(np.max(norms))  # NaN in either panel propagates
+    log_value = -math.inf if combined == 0.0 else math.log(combined)
     return ResidualReport(kind, rank, *norms, combined, log_value)
 
 
@@ -167,6 +167,6 @@ def log_table(reports: dict) -> tuple[np.ndarray, list[int], list[int]]:
     ms = sorted({m for _, m in values})
     mat = np.full((len(ms), len(ns)), np.nan)
     for (n, m), norm in values.items():
-        mat[ms.index(m), ns.index(n)] = (math.log(norm) if norm > 0.0
-                                         else -math.inf)
+        mat[ms.index(m), ns.index(n)] = (-math.inf if norm == 0.0
+                                         else math.log(norm))
     return mat, ns, ms

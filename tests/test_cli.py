@@ -253,9 +253,16 @@ def test_missing_problem_file(tmp_path, capsys):
     {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": 1.5}},
     {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": "2"}},
     {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": True}},
+    {"potential": {"kind": "polynomial", "coeffs": [0, 1, 3]},
+     "nonlinearity": {"coeffs": [0, 1]}},
+    {"potential": {"kind": "inverse_sqrt_half", "coeffs": [1.0]}},
+    {"potential": {"kind": "polynomial"},
+     "branch": {"family": "II", "n": 1, "sgn": 1}},
+    {"potential": {"kind": "polynomial"}, "nonlinear": {}},
 ], ids=["potential", "nonlinearity", "branch", "empty-coeffs", "nan-coeff",
         "infinite-coeff", "nan-nonlinearity-coeff", "fractional-n", "string-n",
-        "bool-n"])
+        "bool-n", "nonlinearity-key", "coeffs-of-the-weight", "branch-key",
+        "top-level-key"])
 def test_malformed_problem_file_exits_2(tmp_path, capsys, record):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))
@@ -263,6 +270,20 @@ def test_malformed_problem_file_exits_2(tmp_path, capsys, record):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_misspelled_key_is_named(tmp_path, capsys):
+    # "coeffs" for "coeffs_from_degree_1" used to solve the free problem
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "potential": {"kind": "polynomial", "coeffs": [0, 1, 3]},
+        "nonlinearity": {"coeffs": [0, 1]}}))
+    code = cli.main(["solve", "--problem", str(path), "--rank", "2",
+                     "--mesh", "64", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "nonlinearity record has unknown key 'coeffs'" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flags", [
@@ -381,6 +402,28 @@ def test_divergent_solve_reports_one_line(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "error: correction 2 is not finite; the series diverges\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--family", "II", "--n", "1"], "II_1: residual norm at rank 1 "
+                                              "is nan"),
+    (["sweep", "--first", "2"], "I_plus_0: residual norm at rank 1 is inf"),
+], ids=["solve-nan", "sweep-inf"])
+def test_non_finite_residual_exits_1_without_output(tmp_path, capsys, argv,
+                                                    message):
+    # N = 1e300*u**2: the corrections stay finite, the residual overflows;
+    # no outer errstate, so a numpy warning would fail the test
+    path = tmp_path / "overflowing.json"
+    path.write_text(json.dumps({
+        "potential": {"kind": "polynomial", "coeffs": [0.0, 1.0, 3.0]},
+        "nonlinearity": {"coeffs_from_degree_1": [0.0, 1e300]}}))
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--problem", str(path), "--rank", "1",
+                            "--mesh", "64", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {message}; nothing was written\n")
+    assert not out.exists()
 
 
 def test_validate_prints_the_oracle_tolerance(tmp_path, capsys):

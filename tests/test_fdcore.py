@@ -149,20 +149,22 @@ SERIES_VALUES = st.floats(-2.0, 2.0)
 @settings(max_examples=200, deadline=None)
 def test_series_pushes_are_adomian_bit_for_bit(coeffs, us):
     nl = NonlinearitySpec(tuple(coeffs))
-    series = _AdomianSeries(nl)
-    for j, u in enumerate(us):
-        pushed = series.push(np.asarray(u, dtype=float))
+    series = _AdomianSeries(nl, np.stack(np.broadcast_arrays(
+        *[np.asarray(u, dtype=float) for u in us])))
+    for j in range(len(us)):
+        pushed = series.push(j)
         assert np.array_equal(pushed, adomian(nl, us[:j + 1]))
         assert np.array_equal(pushed, adomian_by_rebuild(nl, us[:j + 1]))
 
 
 def test_series_keeps_no_terms_of_the_top_power():
-    # degree 3: rank + 1 rows for each of u and u**2, none for u**3
-    series = _AdomianSeries(NonlinearitySpec((0.5, 0.0, -1.0, 0.0)))
-    for _ in range(3):
-        series.push(np.ones(4))
-    assert series.rank == 2
-    assert [p.data[:p.size].shape for p in series.powers] == [(3, 4)] * 2
+    # degree 3: the caller's u and one array for u**2, none for u**3
+    u = np.ones((3, 4))
+    series = _AdomianSeries(NonlinearitySpec((0.5, 0.0, -1.0, 0.0)), u)
+    for j in range(3):
+        series.push(j)
+    assert series.powers[0] is u
+    assert [p.shape for p in series.powers] == [(3, 4)] * 2
 
 
 def _panel_terms(rng, rows, m):
@@ -194,10 +196,10 @@ def test_rank_axis_einsums_add_as_the_loops_byte_for_byte(m, j, seed):
     # a = -0.0 adds nothing, so the driving field is the convolution alone
     driven, _ = _driving_field(lams, u, None, np.full_like(g, -0.0))
     assert driven.tobytes() == g.tobytes()
-    series = _AdomianSeries(NonlinearitySpec((0.0, 0.0, 0.0, 1.0)))
-    for term in u:
-        series.push(term)
-    square, cube = (p.data for p in series.powers[1:])
+    series = _AdomianSeries(NonlinearitySpec((0.0, 0.0, 0.0, 1.0)), u)
+    for k in range(j + 1):
+        series.push(k)
+    square, cube = series.powers[1:]
     for k in range(j + 1):
         assert square[k].tobytes() == cauchy_by_loop(u, u, k).tobytes()
         assert cube[k].tobytes() == cauchy_by_loop(square, u, k).tobytes()
@@ -207,21 +209,27 @@ def test_rank_axis_einsums_add_as_the_loops_byte_for_byte(m, j, seed):
                    min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_cauchy_einsum_on_scalar_terms_adds_as_the_loop(us):
-    series = _AdomianSeries(NonlinearitySpec((0.0, 0.0, 0.0, 1.0)))
-    for term in us:
-        series.push(np.asarray(term))
     u = np.array(us)
-    square, cube = (p.data for p in series.powers[1:])
+    series = _AdomianSeries(NonlinearitySpec((0.0, 0.0, 0.0, 1.0)), u)
+    for k in range(len(us)):
+        series.push(k)
+    square, cube = series.powers[1:]
     for k in range(len(us)):
         assert square[k].tobytes() == cauchy_by_loop(u, u, k).tobytes()
         assert cube[k].tobytes() == cauchy_by_loop(square, u, k).tobytes()
 
 
-def test_lambda_correction_catches_up_with_fd_solve():
-    problem, branch = load_problem(PROBLEMS / "example1.json")
-    sol = fd_solve(problem, branch, rank=4, mesh=128)
+#: the cubic q and three-term N of the golden digests; degree 3 keeps u**2
+CUBIC = TransmissionProblem(PotentialSpec.polynomial([1.0, -4.0, 7.0, 2.5]),
+                            NonlinearitySpec((0.5, -2.0, 3.0)))
+
+
+@pytest.mark.parametrize("problem", [EX1, EX2, CUBIC],
+                         ids=["ex1", "ex2", "cubic"])
+def test_lambda_correction_catches_up_with_fd_solve(problem):
+    sol = fd_solve(problem, B0, rank=4, mesh=128)
     for j in range(4):
-        lam = lambda_correction(branch, sol.corrections[:j + 1],
+        lam = lambda_correction(B0, sol.corrections[:j + 1],
                                 problem.potential, problem.nonlinearity)
         assert lam == sol.corrections[j + 1].lambda_j
 
@@ -254,7 +262,7 @@ def test_constant_shift_is_exact_at_rank_one():
     BranchId("II", 1), BranchId("II", 2),
 ])
 def test_discrete_denominator_matches_branch_constant(branch):
-    engine = _Engine(EX1, branch, 256)
+    engine = _Engine(EX1, branch, 256, 0)
     _, b = branch_constants(branch)
     assert engine.denominator == pytest.approx(b, rel=1e-10)
 
@@ -316,9 +324,9 @@ def test_solution_evaluation_helpers():
 
 
 def assert_views_match_engine(problem, branch, mesh, rank):
-    """The step-level functions reproduce each engine step to 1e-12."""
+    """The step-level functions reproduce each engine step, lambda exactly."""
     q, nl = problem.potential, problem.nonlinearity
-    engine = _Engine(problem, branch, mesh)
+    engine = _Engine(problem, branch, mesh, rank)
     corrections = [engine.zero_correction()]
     for _ in range(rank):
         j = len(corrections) - 1
@@ -327,7 +335,7 @@ def assert_views_match_engine(problem, branch, mesh, rank):
         c2 = c2_correction(branch, rhs)
         u1, u2 = u_correction(branch, rhs, c2)
         step = engine.step(corrections)
-        assert lam == pytest.approx(step.lambda_j, abs=1e-12)
+        assert lam == step.lambda_j
         assert c2 == pytest.approx(step.c2_j, abs=1e-12)
         assert np.max(np.abs(u1.values - step.u1.values)) < 1e-12
         assert np.max(np.abs(u2.values - step.u2.values)) < 1e-12
@@ -358,7 +366,7 @@ def test_standalone_ops_reproduce_the_engine_for_random_potentials(
 
 
 def test_rhs_assemble_index_check():
-    engine = _Engine(EX1, B0, 64)
+    engine = _Engine(EX1, B0, 64, 0)
     corrections = [engine.zero_correction()]
     with pytest.raises(FdError):
         rhs_assemble(1, corrections, 0.0, EX1.potential, EX1.nonlinearity)
@@ -381,7 +389,7 @@ def test_non_finite_tabulated_potential_raises(evaluator):
                                   NonlinearitySpec.power(2))
     with pytest.raises(FdError, match="not finite"):
         fd_solve(problem, B0, rank=2, mesh=64)
-    corrections = [_Engine(EX1, B0, 64).zero_correction()]
+    corrections = [_Engine(EX1, B0, 64, 0).zero_correction()]
     with pytest.raises(FdError, match="not finite"):
         rhs_assemble(0, corrections, 0.0, problem.potential,
                      problem.nonlinearity)
@@ -415,7 +423,7 @@ def test_rhs_field_refuses_anything_but_panel_arrays(smooth, weighted):
 
 
 def test_rhs_assemble_gives_panel_arrays():
-    engine = _Engine(EX2, B0, 64)
+    engine = _Engine(EX2, B0, 64, 0)
     corrections = [engine.zero_correction()]
     rhs = rhs_assemble(0, corrections, 1.5, EX2.potential, EX2.nonlinearity)
     assert rhs.smooth.shape == rhs.weighted.shape == (2, 65)
@@ -511,15 +519,14 @@ def test_corrections_are_rows_of_one_rank_stack(problem):
             i == k for i in range(6)]
 
 
-def test_engine_grows_its_stack_and_refuses_a_repeated_step():
-    # sized for rank 0, stepped to rank 4: the stack doubles three times
-    engine = _Engine(EX1, B0, 64)
+def test_engine_refuses_a_repeated_step():
+    # a repeated step would overwrite the row an earlier Correction.u views
+    engine = _Engine(EX1, B0, 64, 2)
     corrections = [engine.zero_correction()]
-    for _ in range(4):
+    for _ in range(2):
         corrections.append(engine.step(corrections))
-    solved = fd_solve(EX1, B0, rank=4, mesh=64).corrections
-    for grown, sized in zip(corrections, solved):
-        assert grown.lambda_j == sized.lambda_j
-        assert grown.u.tobytes() == sized.u.tobytes()
-    with pytest.raises(FdError, match="seen"):
-        engine.step(corrections[:-1])
+    kept = corrections[1].u.copy()
+    for seen in (corrections[:-1], corrections[:1], corrections):
+        with pytest.raises(FdError, match="corrections 0..j"):
+            engine.step(seen)
+    assert np.array_equal(corrections[1].u, kept)

@@ -46,11 +46,17 @@ def test_no_unused_imports(path):
 
 
 def private_definitions(source: str) -> list[str]:
-    """Module-level _names a source defines; dunder names are left out."""
+    """Module-level _names a source defines, and the _methods of its classes.
+
+    Dunder names are left out.
+    """
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [m.name for m in node.body
+                          if isinstance(m, ast.FunctionDef)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = getattr(node, "targets", [getattr(node, "target", None)])
             names += [n.id for t in targets for n in ast.walk(t)
@@ -78,9 +84,12 @@ def test_dead_code_checker_flags_only_unread_private_names():
     sources = ["import math\n_USED = 1\n_ORPHAN: int = 2\n__all__ = []\n"
                "def _helper():\n    return _USED\n"
                "class _Gone:\n    _inner = 3\n"
+               "class Kept:\n    def _orphan(self):\n        pass\n"
+               "    def __init__(self):\n        self._used()\n"
+               "    def _used(self):\n        pass\n"
                "def public():\n    _local = math.pi\n",
                "from mod import _helper\nprint(_helper())\n"]
-    assert unread_private_names(sources) == ["_ORPHAN", "_Gone"]
+    assert unread_private_names(sources) == ["_ORPHAN", "_Gone", "_orphan"]
 
 
 def test_every_private_name_of_the_package_is_read():

@@ -228,12 +228,21 @@ def test_load_problem_bad_kind(tmp_path):
     {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": True}},
     {"potential": {"kind": "polynomial"},
      "branch": {"family": "I", "n": 1, "sign": -1.0}},
+    {"potential": {"kind": "polynomial", "coeffs": [0, 1, 3]},
+     "nonlinearity": {"coeffs": [0, 1]}},
+    {"potential": {"kind": "polynomial", "coefs": [0, 1, 3]}},
+    {"potential": {"kind": "inverse_sqrt_half", "coeffs": [1.0]}},
+    {"potential": {"kind": "polynomial"},
+     "branch": {"family": "II", "n": 1, "sgn": 1}},
+    {"potential": {"kind": "polynomial"},
+     "nonlinear": {"coeffs_from_degree_1": [0.0, 1.0]}},
 ], ids=["potential", "nonlinearity", "branch", "empty-coeffs",
         "scalar-coeffs", "null-coeff", "scalar-nonlinearity-coeffs",
         "string-nonlinearity-coeff", "null-n", "string-sign", "list",
         "number", "nan-coeff", "infinite-coeff", "huge-int-coeff",
         "infinite-nonlinearity-coeff", "fractional-n", "string-n", "bool-n",
-        "float-sign"])
+        "float-sign", "nonlinearity-key", "potential-key",
+        "coeffs-of-the-weight", "branch-key", "top-level-key"])
 def test_load_problem_rejects_malformed_records(tmp_path, record):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(record))

@@ -8,7 +8,7 @@ from transeig.fdcore import fd_solve
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
                             TransmissionProblem, load_problem)
 from transeig.quadrature import GridFunction, PanelFn, PanelMesh
-from transeig.residual import (ResidualReport, count_interior_zeros,
+from transeig.residual import (ResidualReport, _finish, count_interior_zeros,
                                integrated_residual, log_table,
                                pointwise_residual, residual_by_rank,
                                residual_report)
@@ -106,6 +106,17 @@ def test_log_table_layout():
     assert mat[1, 0] == pytest.approx(-3.0)
     assert mat[0, 1] == pytest.approx(2.0)
     assert mat[1, 1] == pytest.approx(math.log(1e-300))
+
+
+def test_a_nan_norm_is_not_an_exact_solution():
+    # NaN in either panel reaches combined and its log; only 0 gives -inf
+    for nu in ([[0.0], [math.nan]], [[math.nan], [0.0]]):
+        rep = _finish("pointwise", 1, np.array(nu))
+        assert math.isnan(rep.combined) and math.isnan(rep.log_value)
+    assert _finish("pointwise", 0, np.zeros((2, 3))).log_value == -math.inf
+    mat, _, _ = log_table({(0, 0): math.nan, (1, 0): 0.0, (2, 0): math.inf})
+    assert math.isnan(mat[0, 0])
+    assert mat[0, 1] == -math.inf and mat[0, 2] == math.inf
 
 
 def test_log_table_accepts_reports():
