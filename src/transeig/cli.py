@@ -67,9 +67,12 @@ def _resolve_branch(args: argparse.Namespace,
     return ascending_branches(1)[0]
 
 
-def _branch_payload(problem: TransmissionProblem, args: argparse.Namespace,
-                    branch: BranchId) -> dict:
-    """Solve one branch and render its CSV and JSON texts."""
+def _branch_payload(problem: TransmissionProblem, l1: float,
+                    args: argparse.Namespace, branch: BranchId) -> dict:
+    """Solve one branch and render its CSV and JSON texts.
+
+    l1 is the L1 norm of the problem's potential.
+    """
     rank = args.rank
     sol = fd_solve(problem, branch, rank, args.mesh)
     # an overflow shows as a non-finite norm, refused below as one error
@@ -80,16 +83,15 @@ def _branch_payload(problem: TransmissionProblem, args: argparse.Namespace,
             raise ValueError(f"{branch.tag}: residual norm at rank {r.rank} "
                              f"is {r.combined}; nothing was written")
     zero_count = count_interior_zeros(sol.u_total())
-    conv = convergence_report(l1_norm(problem.potential),
-                              problem.nonlinearity, branch, rank)
+    conv = convergence_report(l1, problem.nonlinearity, branch, rank)
     lines = ["m,lambda,sup_u1,sup_u2,residual_norm"]
-    for m in range(rank + 1):
+    for m, (c, report) in enumerate(zip(sol.corrections, reports)):
+        sups = np.abs(c.u).max(axis=-1)  # sup of u1 and of u2
         lines.append(",".join([
             str(m),
             _fmt(sol.lambda_partial(m)),
-            _fmt(sol.corrections[m].u1.sup),
-            _fmt(sol.corrections[m].u2.sup),
-            _fmt(reports[m].combined),
+            *map(_fmt, sups),
+            _fmt(report.combined),
         ]))
     csv_text = "\n".join(lines) + "\n"
     payload = {
@@ -124,7 +126,7 @@ def _write_branch_files(out: Path, payload: dict) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem, file_branch = load_problem(args.problem)
-    payload = _branch_payload(problem, args,
+    payload = _branch_payload(problem, l1_norm(problem.potential), args,
                               _resolve_branch(args, file_branch))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -139,7 +141,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     branches = ascending_branches(args.first)
     problem, _ = load_problem(args.problem)
-    task = partial(_branch_payload, problem, args)
+    task = partial(_branch_payload, problem, l1_norm(problem.potential),
+                   args)
     jobs = min(args.jobs, len(branches))
     if jobs > 1:
         # imported here: multiprocessing costs every other command's start

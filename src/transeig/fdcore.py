@@ -44,7 +44,8 @@ class _AdomianSeries:
     of u**2..u**(d-1) in arrays shaped like u, d being the degree of the
     highest nonzero coefficient. A push forms only the t**j term of each
     power, one einsum over the rank axis that adds r = 0..j in order from
-    0.0; the term of u**d goes straight into A_j and is not stored.
+    0.0, straight into the row that stores it; the term of u**d goes into
+    a scratch row and on into A_j.
     """
 
     def __init__(self, n: NonlinearitySpec, u: np.ndarray):
@@ -54,18 +55,25 @@ class _AdomianSeries:
         self.u = u
         self.powers = [u] + [np.empty_like(u) for _ in range(degree - 2)]
 
-    def push(self, j: int):
-        """A_j; row j of u must hold u(j) already."""
+    def push(self, j: int, out=None, scratch=None):
+        """A_j; row j of u must hold u(j) already.
+
+        out and scratch, arrays shaped like a row of u, take A_j and the
+        products; fresh ones are made for those not given.
+        """
         u, term = self.u, self.u[j]
-        out = np.zeros_like(term)
+        out = np.empty_like(term) if out is None else out
+        out[...] = 0.0
+        scratch = np.empty_like(out) if scratch is None else scratch
+        top = len(self.coeffs)
         for i, a in enumerate(self.coeffs, start=1):
             if a != 0.0:
-                out = out + a * term
-            if i < len(self.coeffs):
-                power = self.powers[i - 1]
-                if i > 1:
-                    power[j] = term
-                term = np.einsum("k...,k...->...", power[:j + 1], u[j::-1])
+                out += np.multiply(a, term, out=scratch)
+            if i < top:
+                # the t**j term of u**(i+1): its stored row, or scratch
+                term = self.powers[i][j, ...] if i + 1 < top else scratch
+                np.einsum("k...,k...->...", self.powers[i - 1][:j + 1],
+                          u[j::-1], out=term)
         return out
 
 
@@ -186,18 +194,19 @@ def _potential_on_panels(q: PotentialSpec, x: np.ndarray):
     return values
 
 
-def _driving_field(lams, u: np.ndarray, q, a):
+def _driving_field(lams, u: np.ndarray, q, a, out=None, scratch=None):
     """Everything on the right-hand side except the new eigenvalue term.
 
     lams and u hold lambda(0..j) and the panel arrays u(0..j), so the sum
     of lambda(j+1-p)*u(p) is one einsum over the rank axis, adding p = 1..j
     in order from 0.0. q holds a smooth potential at the nodes, or None for
     the singular weight; then u(j) is returned as the weighted factor, else
-    None. a is the Adomian term A_j.
+    None. a is the Adomian term A_j. out and scratch, panel arrays, take the
+    field and q*u(j); fresh ones are made for those not given.
     """
-    g = np.einsum("k,k...->...", -np.array(lams[:0:-1]), u[1:])
+    g = np.einsum("k,k...->...", -np.array(lams[:0:-1]), u[1:], out=out)
     if q is not None:
-        g += q * u[-1]
+        g += np.multiply(q, u[-1], out=scratch)
     g += a
     return g, (u[-1] if q is None else None)
 
@@ -216,24 +225,27 @@ class _Frame:
         self.lambda0 = lambda0
         self.omega = math.sqrt(lambda0)
         self.m = mesh_m
-        self.x = _panel_nodes(mesh_m)
         self.h = PanelMesh("left", mesh_m).h
-        w = self.omega
-        self.trig = np.stack([np.cos(w * self.x), np.sin(w * self.x)])
-        self.sin_tail = np.sin(w * (1.0 - self.x[1]))
-        self.cos_tail = np.cos(w * (1.0 - self.x[1]))
+        x, w = _panel_nodes(mesh_m), self.omega
+        self.trig = np.stack([np.cos(w * x), np.sin(w * x)])
+        self.sin_tail = np.sin(w * (1.0 - x[1]))
+        self.cos_tail = np.cos(w * (1.0 - x[1]))
 
-    def cumulants(self, g, weighted=None):
+    def cumulants(self, g, weighted=None, out=None, scratch=None):
         """Running cos and sin integrals of the panel field g, cos in row 0.
 
         weighted, if given, is the panel array that multiplies the interface
         weight; it goes through the substitution rule, cos and sin of both
-        panels in one call.
+        panels in one call. out and scratch, (2, 2, M+1) arrays, take the
+        integrals and the integrands; fresh ones are made for those not
+        given.
         """
-        run = cumulative_simpson(g * self.trig, self.h)
+        run = cumulative_simpson(np.multiply(g, self.trig, out=scratch),
+                                 self.h, out=out)
         if weighted is not None:
             sub = _substitution(self.m)
-            psi = sub.at_points(weighted)[:, None] * self.substituted_trig
+            psi = np.multiply(sub.at_points(weighted)[:, None],
+                              self.substituted_trig, out=scratch)
             run += sub.running(psi).swapaxes(0, 1)
         return run
 
@@ -266,27 +278,32 @@ class _Frame:
             return (sh * cf - ch * sf) / (w * sh)
         return -cf / w
 
-    def pieces(self, cumulants, amp: float):
-        """u and du from the cumulants of the final field.
+    def pieces(self, cumulants, amp: float, out=None):
+        """u and du from the cumulants of the final field, which it spends.
 
         The left panel sweeps from x = 0. The right one sweeps back from
-        x = 1 and adds amp*sin(w*(1 - x)).
+        x = 1, its cumulants turned into tails in place, and adds
+        amp*sin(w*(1 - x)). out, if given, is the pair of panel arrays
+        that takes u and du.
         """
-        run = cumulants.copy()
-        run[:, 1] = cumulants[:, 1, -1:] - cumulants[:, 1]
+        right = cumulants[:, 1]
+        np.subtract(right[:, -1:], right, out=right)
         w = self.omega
-        u, du = sine_sweep(*self.trig, *run, w)
-        u[1] = amp * self.sin_tail - u[1]
-        du[1] = -amp * w * self.cos_tail - du[1]
+        u, du = sine_sweep(*self.trig, *cumulants, w, out=out)
+        np.subtract(amp * self.sin_tail, u[1], out=u[1])
+        np.subtract(-amp * w * self.cos_tail, du[1], out=du[1])
         return u, du
 
 
 class _Engine(_Frame):
-    """Per-solve state: zero cumulants, potential, Adomian series and u.
+    """Per-solve state: zero cumulants, potential, series and step arrays.
 
-    u is one (rank+1, 2, M+1) array, sized once, that the series reads too;
-    row 0 is the zero approximation and step j writes row j+1, which the
-    returned Correction.u views.
+    u, du and, for a smooth potential, rhs are rank arrays sized once, one
+    (2, M+1) row per correction: row 0 of u and du is the zero
+    approximation, step j writes row j+1 and rhs row j (rank 0 has no
+    right-hand side). The series reads u too; each returned Correction
+    views its rows. g, cum and scratch take a step's driving field,
+    cumulants and products, so a step keeps no array it makes.
     """
 
     def __init__(self, problem: TransmissionProblem, branch: BranchId,
@@ -295,19 +312,29 @@ class _Engine(_Frame):
             raise FdError("mesh size must be even and at least 4")
         self.zero = zero_eigenfunction(branch)
         super().__init__(branch, self.zero.lambda0, mesh_m)
-        left, right = self.x
+        x = _panel_nodes(mesh_m)
+        left, right = x
+        self.q = _potential_on_panels(problem.potential, x)
         self.u = np.empty((rank + 1, 2, mesh_m + 1))
+        # du and rhs share one block: as three rank arrays, glibc's malloc
+        # handed their pages back to the OS after every solve and faulted
+        # them in again on the next
+        block = np.empty((1 + (self.q is not None), *self.u.shape))
+        self.du = block[0]
+        self.rhs = None if self.q is None else block[1, 1:]
         self.u[0] = [self.zero.u1(left), self.zero.u2(right)]
+        self.du[0] = [self.zero.du1(left), self.zero.du2(right)]
         self.filled = 1
         self.zero_cumulants = self.cumulants(self.u[0])
         self.denominator = self.weight_total(self.zero_cumulants)
-        self.q = _potential_on_panels(problem.potential, self.x)
         self.series = _AdomianSeries(problem.nonlinearity, self.u)
+        self.g = np.empty_like(self.u[0])
+        self.cum = np.empty_like(self.zero_cumulants)
+        self.scratch = np.empty_like(self.zero_cumulants)
 
     def zero_correction(self) -> Correction:
-        left, right = self.x
-        du = np.stack([self.zero.du1(left), self.zero.du2(right)])
-        return Correction(self.lambda0, self.u[0], du, self.zero.c2_zero)
+        return Correction(self.lambda0, self.u[0], self.du[0],
+                          self.zero.c2_zero)
 
     def step(self, corrections: list[Correction]) -> Correction:
         """The next correction from this engine's corrections 0..j."""
@@ -315,23 +342,27 @@ class _Engine(_Frame):
         # a repeated step would overwrite the row an earlier Correction views
         if not j + 1 == self.filled < len(self.u):
             raise FdError("step needs the engine's corrections 0..j, j < rank")
-        g, weighted = _driving_field([c.lambda_j for c in corrections],
+        g, cum, (a, spare) = self.g, self.cum, self.scratch
+        _, weighted = _driving_field([c.lambda_j for c in corrections],
                                      self.u[:j + 1], self.q,
-                                     self.series.push(j))
-        cumulants = self.cumulants(g, weighted)
-        lam = self.weight_total(cumulants) / self.denominator
+                                     self.series.push(j, a, spare),
+                                     out=g, scratch=spare)
+        self.cumulants(g, weighted, out=cum, scratch=self.scratch)
+        lam = self.weight_total(cum) / self.denominator
         # the final field is the driving field minus lam times the zero
         # approximation, so its cumulants follow by linearity
-        final = cumulants - lam * self.zero_cumulants
-        amp = self.amplitude(final)
-        u, du = self.pieces(final, amp)
+        cum -= np.multiply(lam, self.zero_cumulants, out=self.scratch)
+        amp = self.amplitude(cum)
+        u, du = self.pieces(cum, amp, out=(self.u[j + 1], self.du[j + 1]))
         if not all(np.isfinite(v).all() for v in (lam, u, du)):
             raise FdError(f"correction {len(corrections)} is not finite; "
                           "the series diverges")
-        rhs = None if self.q is None else g - lam * self.u[0]
-        self.u[j + 1] = u
+        rhs = None
+        if self.q is not None:
+            rhs = self.rhs[j]
+            np.subtract(g, np.multiply(lam, self.u[0], out=rhs), out=rhs)
         self.filled += 1
-        return Correction(lam, self.u[j + 1], du, amp, rhs)
+        return Correction(lam, u, du, amp, rhs)
 
 
 def _rhs_frame(branch: BranchId, rhs: RhsField):

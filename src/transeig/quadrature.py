@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,30 +56,37 @@ class PanelMesh:
         return np.linspace(self.a, self.b, self.m + 1)
 
 
-def cumulative_simpson(values, h: float) -> NDArray[np.float64]:
+def cumulative_simpson(values, h: float, out=None) -> NDArray[np.float64]:
     """Running integral over a uniform mesh, exact for cubics.
 
     Even prefixes use composite Simpson; odd prefixes use the last computed
     even prefix three nodes back plus a Simpson-3/8 block, except the first
     interval which uses the standard four-point opening rule. The rule runs
     along the last axis; leading axes hold independent integrands, such as
-    the two rows of a panel array.
+    the two rows of a panel array. out, if given, is a float array shaped
+    like values and sharing no memory with it; the rule writes into it and
+    makes only its two half-length sums.
     """
     f = np.atleast_1d(np.asarray(values, dtype=float))
     n = f.shape[-1] - 1
     if n < 4 or n % 2:
         raise QuadratureError("cumulative rule needs an even node count >= 5")
-    out = np.empty_like(f)
+    out = np.empty_like(f) if out is None else out
     out[..., 0] = 0.0
-    pairs = (h / 3.0) * (f[..., 0:-2:2] + 4.0 * f[..., 1:-1:2]
-                         + f[..., 2::2])
-    out[..., 2::2] = np.cumsum(pairs, axis=-1)
+    # the sums go to contiguous half-length arrays, worked on in place
+    pairs = np.multiply(4.0, f[..., 1:-1:2])
+    np.add(f[..., 0:-2:2], pairs, out=pairs)
+    pairs += f[..., 2::2]
+    pairs *= h / 3.0
+    np.cumsum(pairs, axis=-1, out=out[..., 2::2])
+    blocks = np.multiply(3.0, f[..., 1:-2:2])
+    np.add(f[..., 0:-3:2], blocks, out=blocks)
+    blocks += np.multiply(3.0, f[..., 2:-1:2], out=pairs[..., 1:])
+    blocks += f[..., 3::2]
+    blocks *= 3.0 * h / 8.0
     out[..., 1] = (h / 24.0) * (9.0 * f[..., 0] + 19.0 * f[..., 1]
                                 - 5.0 * f[..., 2] + f[..., 3])
-    out[..., 3::2] = out[..., 0:-3:2] + (3.0 * h / 8.0) * (
-        f[..., 0:-3:2] + 3.0 * f[..., 1:-2:2] + 3.0 * f[..., 2:-1:2]
-        + f[..., 3::2]
-    )
+    np.add(out[..., 0:-3:2], blocks, out=out[..., 3::2])
     return out
 
 
@@ -87,7 +94,9 @@ class _Stencil:
     """Four-point Lagrange stencils at fixed points of a uniform grid.
 
     Locating the stencils depends only on the grid and the points; applying
-    them along the last axis of node values is four products summed in order.
+    them along the last axis of node values is four products summed in
+    order. The k-th node of every stencil is gathered from the view
+    f[..., k:] at the stencils' start, so no shifted index array is built.
     """
 
     def __init__(self, a: float, h: float, npts: int, x):
@@ -96,17 +105,19 @@ class _Stencil:
         self.start = np.clip(cell - 1, 0, npts - 4)
         t = (xq - (a + self.start * h)) / h
         t0, t1, t2, t3 = t, t - 1.0, t - 2.0, t - 3.0
-        self.w0 = -t1 * t2 * t3 / 6.0
-        self.w1 = t0 * t2 * t3 / 2.0
-        self.w2 = -t0 * t1 * t3 / 2.0
-        self.w3 = t0 * t1 * t2 / 6.0
+        self.weights = (-t1 * t2 * t3 / 6.0, t0 * t2 * t3 / 2.0,
+                        -t0 * t1 * t3 / 2.0, t0 * t1 * t2 / 6.0)
 
-    def __call__(self, f: NDArray[np.float64]) -> NDArray[np.float64]:
-        s = self.start
-        return (self.w0 * f.take(s, axis=-1)
-                + self.w1 * f.take(s + 1, axis=-1)
-                + self.w2 * f.take(s + 2, axis=-1)
-                + self.w3 * f.take(s + 3, axis=-1))
+    def __call__(self, f: NDArray[np.float64], out=None) -> NDArray[np.float64]:
+        s, (w0, *weights) = self.start, self.weights
+        # mode="clip" lets take write to out unbuffered; s is in range
+        out = f.take(s, axis=-1, out=out, mode="clip")
+        out *= w0
+        term = np.empty_like(out)
+        for k, w in enumerate(weights, start=1):
+            f[..., k:].take(s, axis=-1, out=term, mode="clip")
+            out += np.multiply(term, w, out=term)
+        return out
 
 
 class _Points:
@@ -231,11 +242,14 @@ class _Substitution:
 
         psi is panel first; one call integrates it on the uniform t-mesh,
         and each panel's back map takes its running t-integrals to its nodes.
+        psi is spent: its rows take the back maps.
         """
         run = cumulative_simpson(psi, self.ht)
         left, right = self.back
-        run[0] = 2.0 * (run[0, ..., -1:] - left(run[0]))
-        run[1] = 2.0 * right(run[1])
+        back = left(run[0], out=psi[0])
+        np.multiply(2.0, np.subtract(run[0, ..., -1:], back, out=back),
+                    out=run[0])
+        np.multiply(2.0, right(run[1], out=psi[1]), out=run[1])
         run[..., 0] = 0.0
         return run
 
@@ -259,13 +273,20 @@ def weighted_cumulative(g) -> NDArray[np.float64]:
     return sub.running(sub.at_points(g))
 
 
-def sine_sweep(cosx, sinx, c_part, s_part, w: float):
+def sine_sweep(cosx, sinx, c_part, s_part, w: float, out=None):
     """Sine-kernel convolution and its x-derivative from cos/sin cumulants.
 
     c_part and s_part integrate f(s)*cos(w*s) and f(s)*sin(w*s) over the
-    sweep range; cosx and sinx are cos(w*x) and sin(w*x).
+    sweep range; cosx and sinx are cos(w*x) and sin(w*x). out, if given,
+    is the pair of arrays the two results are written into.
     """
-    return (sinx * c_part - cosx * s_part) / w, cosx * c_part + sinx * s_part
+    u, du = (None, None) if out is None else out
+    u = np.multiply(sinx, c_part, out=u)
+    u -= np.multiply(cosx, s_part, out=du)
+    u /= w
+    du = np.multiply(cosx, c_part, out=du)
+    du += sinx * s_part
+    return u, du
 
 
 def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
@@ -279,8 +300,9 @@ def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
     with_derivative the analytic x-derivative of the convolution (cosine
     kernel) is returned alongside.
     """
-    if lambda0 <= 0.0:
-        raise QuadratureError("kernel needs lambda0 > 0")
+    # `not <` also refuses nan, which `lambda0 <= 0.0` lets through
+    if not 0.0 < lambda0 < inf:
+        raise QuadratureError("kernel needs a finite lambda0 > 0")
     if direction not in ("from-left", "from-right"):
         raise QuadratureError(f"unknown direction: {direction!r}")
     w = sqrt(lambda0)

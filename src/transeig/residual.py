@@ -53,30 +53,37 @@ def _running_totals(sol: FdSolution):
     """Yield the totals at ranks 0..m, walking the corrections once.
 
     Every sum adds left to right from 0, as FdSolution does, so the totals
-    at rank k are those of sol.truncate(k). q is evaluated once.
+    at rank k are those of sol.truncate(k). q is evaluated once. The panel
+    arrays of the totals are added to in place: each yielded _Totals is
+    valid until the next one is asked for.
     """
     q = _potential_on_panels(sol.problem.potential, _panel_nodes(sol.mesh_m))
-    lam = u = du = 0
-    forcing = None if q is None else np.zeros_like(sol.corrections[0].u)
+    lam = 0
+    u, du = (np.zeros_like(sol.corrections[0].u) for _ in range(2))
+    forcing = None if q is None else np.zeros_like(u)
     for k, c in enumerate(sol.corrections):
         lam = lam + c.lambda_j
-        u, du = u + c.u, du + c.du
+        u += c.u
+        du += c.du
         if q is not None and k:
-            forcing = forcing + c.rhs
+            forcing += c.rhs
         yield _Totals(k, float(lam), u, du, forcing, q)
 
 
-def _finish(kind: str, rank: int, nu) -> ResidualReport:
-    """Report from the residual nu on the left and on the right panel."""
-    norms = [float(np.max(np.abs(row))) for row in nu]
-    combined = float(np.max(norms))  # NaN in either panel propagates
+def _finish(kind: str, rank: int, nu: np.ndarray) -> ResidualReport:
+    """Report from the residual nu, a panel array, which it overwrites."""
+    norms = np.abs(nu, out=nu).max(axis=-1)
+    combined = float(norms.max())  # NaN in either panel propagates
     log_value = -math.inf if combined == 0.0 else math.log(combined)
-    return ResidualReport(kind, rank, *norms, combined, log_value)
+    return ResidualReport(kind, rank, *map(float, norms), combined, log_value)
 
 
 def _pointwise(sol: FdSolution, t: _Totals) -> ResidualReport:
     nl = sol.problem.nonlinearity
-    nu = (-sol.lambda0 * t.u + t.forcing + (t.lam - t.q) * t.u - nl(t.u))
+    nu = np.multiply(-sol.lambda0, t.u)
+    nu += t.forcing
+    nu += np.subtract(t.lam, t.q) * t.u
+    nu -= nl(t.u)
     return _finish("pointwise", t.rank, nu)
 
 
@@ -87,9 +94,11 @@ def _integrated(sol: FdSolution, t: _Totals) -> ResidualReport:
                                PanelMesh("left", sol.mesh_m).h)
     if t.q is None:
         parts -= weighted_cumulative(t.u)
-    nu1 = t.du[0] - t.du[0, 0] + parts[0]
-    nu2 = nu1[-1] + t.du[1] - t.du[1, 0] + parts[1]
-    return _finish("integrated", t.rank, (nu1, nu2))
+    # parts[0] becomes nu1 = du1 - du1(0) + parts[0], then parts[1]
+    # becomes nu2 = nu1(1/2) + du2 - du2(1/2) + parts[1]
+    parts[0] += t.du[0] - t.du[0, 0]
+    parts[1] += t.du[1] + parts[0, -1] - t.du[1, 0]
+    return _finish("integrated", t.rank, parts)
 
 
 def _form(sol: FdSolution):
@@ -139,6 +148,9 @@ def count_interior_zeros(u: GridFunction, tol: float | None = None) -> int:
     The interface node enters once, through the left panel; continuity
     makes the one-sided values agree.
     """
+    if not all(np.isfinite(p.values).all() for p in (u.left, u.right)):
+        raise ValueError("cannot count the zeros of a function with a "
+                         "non-finite sample")
     sup = u.sup_norm
     if sup == 0.0:
         return 0

@@ -11,7 +11,7 @@ import pytest
 
 from transeig import cli
 from transeig.fdcore import fd_solve
-from transeig.model import load_problem
+from transeig.model import BranchId, load_problem
 from transeig.residual import count_interior_zeros
 
 EX1 = Path(__file__).resolve().parent.parent / "problems" / "example1.json"
@@ -52,6 +52,24 @@ def test_solve_writes_expected_files(tmp_path):
     assert payload["residual_kind"] == "pointwise"
     assert "convergence" in payload
     assert payload["zero_count"] == count_interior_zeros(sol.u_total())
+
+
+def test_sup_columns_are_the_panel_sups(tmp_path):
+    # II_1's rank-0 right piece is c2 * sin(w (1 - x)) with c2 = -0.0
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--problem", str(EX1), "--family", "II",
+                     "--n", "1", "--rank", "6", "--mesh", "256",
+                     "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "II_1.csv").read_text().splitlines()[1:]]
+    problem, _ = load_problem(EX1)
+    sol = fd_solve(problem, BranchId("II", 1), 6, 256)
+    zero = sol.corrections[0].u2.values
+    assert np.all(zero == 0.0) and np.signbit(zero).any()
+    assert rows[0][3] == "0.0000000000000000e+00"
+    assert len(rows) == len(sol.corrections) == 7
+    for row, c in zip(rows, sol.corrections):
+        assert row[2:4] == [f"{c.u1.sup:.16e}", f"{c.u2.sup:.16e}"]
 
 
 def test_solve_zero_potential_constant_lambda(tmp_path):

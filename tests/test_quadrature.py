@@ -75,6 +75,47 @@ def test_cumulative_simpson_equals_the_gathered_formula(half, seed):
     assert np.array_equal(cumulative_simpson(f, h), ref)
 
 
+@given(half=st.integers(2, 64), rows=st.sampled_from([(), (2,), (2, 2)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_cumulative_simpson_writes_into_out(half, rows, seed):
+    # out= gives the bits of a fresh result, row by row of the 1-D rule
+    h = 0.5 / (2 * half)
+    f = np.random.default_rng(seed).uniform(-1.0, 1.0, (*rows, 2 * half + 1))
+    out = np.full_like(f, np.nan)
+    assert cumulative_simpson(f, h, out=out) is out
+    assert np.array_equal(out, cumulative_simpson(f, h))
+    for index in np.ndindex(rows):
+        assert np.array_equal(out[index], cumulative_simpson(f[index], h))
+
+
+def test_sine_sweep_writes_into_out():
+    cosx, sinx, c, s = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 2, 9))
+    out = (np.empty((2, 9)), np.empty((2, 9)))
+    u, du = quadrature.sine_sweep(cosx, sinx, c, s, 1.7, out=out)
+    assert u is out[0] and du is out[1]
+    assert np.array_equal(u, (sinx * c - cosx * s) / 1.7)
+    assert np.array_equal(du, cosx * c + sinx * s)
+
+
+@given(n=st.integers(4, 40), rows=st.sampled_from([(), (2,), (2, 3)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_stencil_is_four_shifted_gathers(n, rows, seed):
+    # the reference builds the shifted index arrays on every call
+    rng = np.random.default_rng(seed)
+    a, h = -0.3, 0.7
+    x = a + (n - 1) * h * rng.uniform(0.0, 1.0, 25)
+    f = rng.uniform(-1.0, 1.0, (*rows, n))
+    stencil = _Stencil(a, h, n, x)
+    s, (w0, w1, w2, w3) = stencil.start, stencil.weights
+    ref = (w0 * f.take(s, axis=-1) + w1 * f.take(s + 1, axis=-1)
+           + w2 * f.take(s + 2, axis=-1) + w3 * f.take(s + 3, axis=-1))
+    assert np.array_equal(stencil(f), ref)
+    out = np.empty_like(ref)
+    assert stencil(f, out=out) is out and np.array_equal(out, ref)
+
+
 def test_sine_integral_value():
     mesh = PanelMesh("left", 64)
     running = cumulative_simpson(np.sin(2.0 * math.pi * mesh.nodes), mesh.h)
@@ -421,8 +462,10 @@ def test_kernel_direction_validation():
     f = PanelFn.zeros(mesh)
     with pytest.raises(QuadratureError):
         kernel_convolution(4.0, f, "upward")
-    with pytest.raises(QuadratureError):
-        kernel_convolution(-1.0, f, "from-left")
+    # nan slipped through a `lambda0 <= 0.0` check into all-NaN pieces
+    for lam in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(QuadratureError, match="lambda0"):
+            kernel_convolution(lam, f, "from-left")
 
 
 @pytest.mark.parametrize("x", [1.7, -3.0, math.nan, [0.25, 1.0 + 1e-9]])

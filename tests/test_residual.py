@@ -91,6 +91,17 @@ def test_count_zeros_flat_function():
     assert count_interior_zeros(u) == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("node", [0, 50, 200, 201, 350, 401])
+def test_count_zeros_refuses_a_non_finite_sample(bad, node):
+    # sup and tol would turn non-finite and every comparison false: 0 zeros
+    u = grid_from(lambda x: np.sin(2.0 * math.pi * x))
+    panel, index = (u.left, node) if node <= 200 else (u.right, node - 201)
+    panel.values[index] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        count_interior_zeros(u)
+
+
 def test_count_zeros_from_solver():
     sol = fd_solve(EX1, B0, rank=2, mesh=256)
     assert count_interior_zeros(sol.u_total()) == 0
