@@ -319,9 +319,10 @@ class _Engine(_Frame):
         # du and rhs share one block: as three rank arrays, glibc's malloc
         # handed their pages back to the OS after every solve and faulted
         # them in again on the next
-        block = np.empty((1 + (self.q is not None), *self.u.shape))
-        self.du = block[0]
-        self.rhs = None if self.q is None else block[1, 1:]
+        block = np.empty((rank + 1 + rank * (self.q is not None), 2,
+                          mesh_m + 1))
+        self.du = block[:rank + 1]
+        self.rhs = None if self.q is None else block[rank + 1:]
         self.u[0] = [self.zero.u1(left), self.zero.u2(right)]
         self.du[0] = [self.zero.du1(left), self.zero.du2(right)]
         self.filled = 1
