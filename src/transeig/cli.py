@@ -85,11 +85,12 @@ def _branch_payload(problem: TransmissionProblem, l1: float,
     zero_count = count_interior_zeros(sol.u_total())
     conv = convergence_report(l1, problem.nonlinearity, branch, rank)
     lines = ["m,lambda,sup_u1,sup_u2,residual_norm"]
-    for m, (c, report) in enumerate(zip(sol.corrections, reports)):
-        sups = np.abs(c.u).max(axis=-1)  # sup of u1 and of u2
+    lams = np.cumsum(sol.lambdas)  # adds in rank order, as lambda_partial
+    for m, (u, report) in enumerate(zip(sol.u, reports)):
+        sups = np.abs(u).max(axis=-1)  # sup of u1 and of u2
         lines.append(",".join([
             str(m),
-            _fmt(sol.lambda_partial(m)),
+            _fmt(lams[m]),
             *map(_fmt, sups),
             _fmt(report.combined),
         ]))

@@ -35,8 +35,8 @@ _RATIO_WINDOW = 10
 
 def radius_linear(q_norm: float) -> float:
     """Radius of convergence of the majorant generating function, N absent."""
-    if q_norm < 0.0:
-        raise ValueError("potential norm must be non-negative")
+    if not 0.0 <= q_norm < math.inf:  # `not` refuses nan as well
+        raise ValueError("potential norm must be finite and non-negative")
     if q_norm == 0.0:
         return math.inf
     return 1.0 / ((1.0 + V0) * q_norm
@@ -56,7 +56,7 @@ def branch_constants(branch: BranchId) -> tuple[float, float]:
 
 def convergence_ratio(branch: BranchId, radius: float) -> float:
     """Sufficient-condition ratio r_n = 1/(a * R) for the given branch."""
-    if radius <= 0.0:
+    if not radius > 0.0:  # `not` refuses nan as well
         raise ValueError("radius must be positive")
     if math.isinf(radius):
         return 0.0
@@ -121,8 +121,8 @@ def majorant_sequence(q_norm: float, nbar: NonlinearitySpec | None,
     """
     if terms < 1:
         raise ValueError("need at least one term beyond the start")
-    if q_norm < 0.0:
-        raise ValueError("potential norm must be non-negative")
+    if not 0.0 <= q_norm < math.inf:  # `not` refuses nan as well
+        raise ValueError("potential norm must be finite and non-negative")
     bar = None
     if nbar is not None and not nbar.is_empty:
         bar = nbar.majorant_spec()
@@ -176,8 +176,8 @@ def branch_point_radius(q_norm: float,
     exceeds R on (0, 1), so a spurious candidate cannot raise it. The
     linear case is radius_linear.
     """
-    if q_norm < 0.0:
-        raise ValueError("potential norm must be non-negative")
+    if not 0.0 <= q_norm < math.inf:  # `not` refuses nan as well
+        raise ValueError("potential norm must be finite and non-negative")
     if nbar is None or nbar.is_empty:
         return radius_linear(q_norm)
     bar = nbar.majorant_spec()
@@ -218,7 +218,7 @@ class DecayReport:
 
 def decay_report(r_n: float, m: int) -> DecayReport:
     """Decay factor r_n**m / (m+1), saturating to inf, and its reading."""
-    if r_n < 0.0:
+    if not r_n >= 0.0:  # `not` refuses nan as well
         raise ValueError("ratio must be non-negative")
     if m < 0:
         raise ValueError("rank must be non-negative")

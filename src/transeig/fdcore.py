@@ -150,38 +150,54 @@ class RhsField:
 
 @dataclass
 class FdSolution:
-    """All corrections up to the requested rank plus the truncated sums."""
+    """A solve's rank arrays, row k for correction k.
+
+    lambdas and c2 are (rank+1,), u and du (rank+1, 2, M+1). rhs holds the
+    smooth right-hand sides solved, row k-1 for correction k (None for the
+    singular weight).
+    """
 
     problem: TransmissionProblem
     branch: BranchId
-    rank: int
-    mesh_m: int
-    corrections: list[Correction]
+    lambdas: np.ndarray
+    c2: np.ndarray
+    u: np.ndarray
+    du: np.ndarray
+    rhs: np.ndarray | None
+
+    rank = property(lambda self: len(self.lambdas) - 1)
+    mesh_m = property(lambda self: self.u.shape[-1] - 1)
+
+    @property
+    def corrections(self) -> list[Correction]:
+        """Correction views of the rows; correction 0 has no rhs."""
+        rhs = [None] * len(self.u) if self.rhs is None else [None, *self.rhs]
+        return [Correction(*row)
+                for row in zip(self.lambdas, self.u, self.du, self.c2, rhs)]
 
     @property
     def lambda0(self) -> float:
-        return self.corrections[0].lambda_j
+        return float(self.lambdas[0])
 
     @property
     def lambda_total(self) -> float:
-        return float(sum(c.lambda_j for c in self.corrections))
+        return float(sum(self.lambdas))
 
     def lambda_partial(self, k: int) -> float:
-        if not 0 <= k <= self.rank:
-            raise FdError(f"rank-{self.rank} solution has no partial sum {k}")
-        return float(sum(c.lambda_j for c in self.corrections[: k + 1]))
+        return self.truncate(k).lambda_total
 
     def u_total(self) -> GridFunction:
-        return GridFunction(*_rows(sum(c.u for c in self.corrections)))
+        return GridFunction(*_rows(sum(self.u)))
 
     def du_total(self) -> tuple[PanelFn, PanelFn]:
-        return _rows(sum(c.du for c in self.corrections))
+        return _rows(sum(self.du))
 
     def truncate(self, k: int) -> "FdSolution":
         if not 0 <= k <= self.rank:
-            raise FdError(f"cannot truncate rank-{self.rank} solution at {k}")
-        return FdSolution(self.problem, self.branch, k, self.mesh_m,
-                          self.corrections[: k + 1])
+            raise FdError(f"rank-{self.rank} solution has no partial sum {k}")
+        rows = (a[:k + 1] for a in (self.lambdas, self.c2, self.u, self.du))
+        return FdSolution(self.problem, self.branch, *rows,
+                          None if self.rhs is None else self.rhs[:k])
 
 
 def _potential_on_panels(q: PotentialSpec, x: np.ndarray):
@@ -296,13 +312,12 @@ class _Frame:
 
 
 class _Engine(_Frame):
-    """Per-solve state: zero cumulants, potential, series and step arrays.
+    """Per-solve state: zero cumulants, potential, series and rank arrays.
 
-    u, du and, for a smooth potential, rhs are rank arrays sized once, one
-    (2, M+1) row per correction: row 0 of u and du is the zero
-    approximation, step j writes row j+1 and rhs row j (rank 0 has no
-    right-hand side). The series reads u too; each returned Correction
-    views its rows. g, cum and scratch take a step's driving field,
+    lambdas, c2, u, du and, for a smooth potential, rhs are sized once
+    with one row per correction: row 0 is the zero approximation, step j
+    writes row j+1 and rhs row j (rank 0 has no right-hand side). The
+    series reads u too. g, cum and scratch take a step's driving field,
     cumulants and products, so a step keeps no array it makes.
     """
 
@@ -315,6 +330,7 @@ class _Engine(_Frame):
         x = _panel_nodes(mesh_m)
         left, right = x
         self.q = _potential_on_panels(problem.potential, x)
+        self.lambdas, self.c2 = np.empty(rank + 1), np.empty(rank + 1)
         self.u = np.empty((rank + 1, 2, mesh_m + 1))
         # du and rhs share one block: as three rank arrays, glibc's malloc
         # handed their pages back to the OS after every solve and faulted
@@ -323,6 +339,7 @@ class _Engine(_Frame):
                           mesh_m + 1))
         self.du = block[:rank + 1]
         self.rhs = None if self.q is None else block[rank + 1:]
+        self.lambdas[0], self.c2[0] = self.lambda0, self.zero.c2_zero
         self.u[0] = [self.zero.u1(left), self.zero.u2(right)]
         self.du[0] = [self.zero.du1(left), self.zero.du2(right)]
         self.filled = 1
@@ -333,20 +350,14 @@ class _Engine(_Frame):
         self.cum = np.empty_like(self.zero_cumulants)
         self.scratch = np.empty_like(self.zero_cumulants)
 
-    def zero_correction(self) -> Correction:
-        return Correction(self.lambda0, self.u[0], self.du[0],
-                          self.zero.c2_zero)
-
-    def step(self, corrections: list[Correction]) -> Correction:
-        """The next correction from this engine's corrections 0..j."""
-        j = len(corrections) - 1
-        # a repeated step would overwrite the row an earlier Correction views
-        if not j + 1 == self.filled < len(self.u):
-            raise FdError("step needs the engine's corrections 0..j, j < rank")
+    def step(self) -> None:
+        """Write the rows of the next correction from the rows before."""
+        j = self.filled - 1
+        if self.filled == len(self.u):
+            raise FdError(f"all {self.filled} rows of the solve are filled")
         g, cum, (a, spare) = self.g, self.cum, self.scratch
-        _, weighted = _driving_field([c.lambda_j for c in corrections],
-                                     self.u[:j + 1], self.q,
-                                     self.series.push(j, a, spare),
+        _, weighted = _driving_field(self.lambdas[:j + 1], self.u[:j + 1],
+                                     self.q, self.series.push(j, a, spare),
                                      out=g, scratch=spare)
         self.cumulants(g, weighted, out=cum, scratch=self.scratch)
         lam = self.weight_total(cum) / self.denominator
@@ -356,14 +367,13 @@ class _Engine(_Frame):
         amp = self.amplitude(cum)
         u, du = self.pieces(cum, amp, out=(self.u[j + 1], self.du[j + 1]))
         if not all(np.isfinite(v).all() for v in (lam, u, du)):
-            raise FdError(f"correction {len(corrections)} is not finite; "
+            raise FdError(f"correction {j + 1} is not finite; "
                           "the series diverges")
-        rhs = None
+        self.lambdas[j + 1], self.c2[j + 1] = lam, amp
         if self.q is not None:
             rhs = self.rhs[j]
             np.subtract(g, np.multiply(lam, self.u[0], out=rhs), out=rhs)
         self.filled += 1
-        return Correction(lam, u, du, amp, rhs)
 
 
 def _rhs_frame(branch: BranchId, rhs: RhsField):
@@ -421,11 +431,10 @@ def fd_solve(problem: TransmissionProblem, branch: BranchId, rank: int,
     if rank < 0:
         raise FdError("rank must be non-negative")
     engine = _Engine(problem, branch, mesh, rank)
-    corrections = [engine.zero_correction()]
     # A diverging series overflows before step() sees a non-finite
     # correction and raises FdError; that error is the one report.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(rank):
-            corrections.append(engine.step(corrections))
-    return FdSolution(problem=problem, branch=branch, rank=rank,
-                      mesh_m=mesh, corrections=corrections)
+            engine.step()
+    return FdSolution(problem, branch, engine.lambdas, engine.c2, engine.u,
+                      engine.du, engine.rhs)

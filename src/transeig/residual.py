@@ -50,7 +50,7 @@ class _Totals:
 
 
 def _running_totals(sol: FdSolution):
-    """Yield the totals at ranks 0..m, walking the corrections once.
+    """Yield the totals at ranks 0..m, walking the rank rows once.
 
     Every sum adds left to right from 0, as FdSolution does, so the totals
     at rank k are those of sol.truncate(k). q is evaluated once. The panel
@@ -59,14 +59,14 @@ def _running_totals(sol: FdSolution):
     """
     q = _potential_on_panels(sol.problem.potential, _panel_nodes(sol.mesh_m))
     lam = 0
-    u, du = (np.zeros_like(sol.corrections[0].u) for _ in range(2))
+    u, du = (np.zeros_like(sol.u[0]) for _ in range(2))
     forcing = None if q is None else np.zeros_like(u)
-    for k, c in enumerate(sol.corrections):
-        lam = lam + c.lambda_j
-        u += c.u
-        du += c.du
+    for k in range(sol.rank + 1):
+        lam = lam + sol.lambdas[k]
+        u += sol.u[k]
+        du += sol.du[k]
         if q is not None and k:
-            forcing += c.rhs
+            forcing += sol.rhs[k - 1]
         yield _Totals(k, float(lam), u, du, forcing, q)
 
 
@@ -151,6 +151,9 @@ def count_interior_zeros(u: GridFunction, tol: float | None = None) -> int:
     if not all(np.isfinite(p.values).all() for p in (u.left, u.right)):
         raise ValueError("cannot count the zeros of a function with a "
                          "non-finite sample")
+    # `not <=` also refuses nan, which every sample would fail: 0 zeros
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError("zero tolerance must be finite and non-negative")
     sup = u.sup_norm
     if sup == 0.0:
         return 0

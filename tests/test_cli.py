@@ -72,6 +72,20 @@ def test_sup_columns_are_the_panel_sups(tmp_path):
         assert row[2:4] == [f"{c.u1.sup:.16e}", f"{c.u2.sup:.16e}"]
 
 
+def test_lambda_column_is_each_partial_sum(tmp_path):
+    # the column is one running sum; each cell must match the partial sum
+    # re-added from rank 0, bit for bit, at every rank
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--problem", str(EX1), "--first", "2",
+                     "--rank", "32", "--mesh", "2048", "--out", str(out)]) == 0
+    problem, _ = load_problem(EX1)
+    for branch in (BranchId("I", 0, 1), BranchId("II", 1)):
+        sol = fd_solve(problem, branch, 32, 2048)
+        cells = [line.split(",")[1] for line in
+                 (out / f"{branch.tag}.csv").read_text().splitlines()[1:]]
+        assert cells == [cli._fmt(sol.lambda_partial(m)) for m in range(33)]
+
+
 def test_solve_zero_potential_constant_lambda(tmp_path):
     prob = write_free_problem(tmp_path, branch={"family": "II", "n": 1})
     out = tmp_path / "out"

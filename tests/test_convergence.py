@@ -169,8 +169,9 @@ def test_condition_ratio_grid_against_hand_arithmetic():
 
 def test_condition_ratio_validation():
     assert convergence_ratio(BranchId("II", 1), math.inf) == 0.0
-    with pytest.raises(ValueError):
-        convergence_ratio(BranchId("II", 1), 0.0)
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            convergence_ratio(BranchId("II", 1), radius)
 
 
 def test_decay_report_shapes():
@@ -184,8 +185,9 @@ def test_decay_report_shapes():
     rep = decay_report(14.7, 2)
     assert not rep.condition_satisfied
     assert "may still occur" in rep.message
-    with pytest.raises(ValueError):
-        decay_report(-1.0, 2)
+    for r_n in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="ratio must be non-negative"):
+            decay_report(r_n, 2)
 
 
 def test_decay_factor_saturates_beyond_float_range():
@@ -271,6 +273,22 @@ def test_radius_with_subnormal_leading_coefficient():
 def test_radius_past_the_float_range_is_inf(q_norm, nbar):
     # runs under filterwarnings = error, so a RuntimeWarning would fail it
     assert branch_point_radius(q_norm, nbar) == math.inf
+
+
+@pytest.mark.parametrize("q_norm", [math.nan, math.inf, -0.5],
+                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("call", [
+    radius_linear,
+    lambda q: branch_point_radius(q, SQUARE),
+    lambda q: majorant_sequence(q, None, 12),
+    lambda q: convergence_report(q, None, BranchId("I", 0, 1), 2),
+], ids=["radius_linear", "branch_point_radius", "majorant_sequence",
+        "convergence_report"])
+def test_potential_norm_must_be_finite_and_non_negative(call, q_norm):
+    # a nan norm used to read radius nan and decay factors [1, nan, nan],
+    # or die later in a misleading "no critical point" or numpy error
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        call(q_norm)
 
 
 def test_radius_without_critical_point_raises(monkeypatch):

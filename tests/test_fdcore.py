@@ -303,8 +303,12 @@ def test_lambda_partial_and_truncate():
     sol = fd_solve(EX1, B0, rank=3, mesh=128)
     for k in range(4):
         trunc = sol.truncate(k)
-        assert trunc.rank == k
+        assert (trunc.rank, trunc.mesh_m) == (k, 128)
         assert trunc.lambda_total == sol.lambda_partial(k)
+        for field in ("lambdas", "c2", "u", "du", "rhs"):
+            part, whole = getattr(trunc, field), getattr(sol, field)
+            assert len(part) == (k if field == "rhs" else k + 1)
+            assert part.size == 0 or np.shares_memory(part, whole)
     with pytest.raises(FdError):
         sol.truncate(4)
     for k in (-1, -2, 4):
@@ -327,20 +331,16 @@ def test_solution_evaluation_helpers():
 def assert_views_match_engine(problem, branch, mesh, rank):
     """The step-level functions reproduce each engine step, lambda exactly."""
     q, nl = problem.potential, problem.nonlinearity
-    engine = _Engine(problem, branch, mesh, rank)
-    corrections = [engine.zero_correction()]
-    for _ in range(rank):
-        j = len(corrections) - 1
-        lam = lambda_correction(branch, corrections, q, nl)
-        rhs = rhs_assemble(j, corrections, lam, q, nl)
+    corrections = fd_solve(problem, branch, rank, mesh).corrections
+    for j, step in enumerate(corrections[1:]):
+        lam = lambda_correction(branch, corrections[:j + 1], q, nl)
+        rhs = rhs_assemble(j, corrections[:j + 1], lam, q, nl)
         c2 = c2_correction(branch, rhs)
         u1, u2 = u_correction(branch, rhs, c2)
-        step = engine.step(corrections)
         assert lam == step.lambda_j
         assert c2 == pytest.approx(step.c2_j, abs=1e-12)
         assert np.max(np.abs(u1.values - step.u1.values)) < 1e-12
         assert np.max(np.abs(u2.values - step.u2.values)) < 1e-12
-        corrections.append(step)
 
 
 # the ids of the smooth cases predate the singular ones
@@ -367,8 +367,7 @@ def test_standalone_ops_reproduce_the_engine_for_random_potentials(
 
 
 def test_rhs_assemble_index_check():
-    engine = _Engine(EX1, B0, 64, 0)
-    corrections = [engine.zero_correction()]
+    corrections = fd_solve(EX1, B0, 0, 64).corrections
     with pytest.raises(FdError):
         rhs_assemble(1, corrections, 0.0, EX1.potential, EX1.nonlinearity)
 
@@ -390,7 +389,7 @@ def test_non_finite_tabulated_potential_raises(evaluator):
                                   NonlinearitySpec.power(2))
     with pytest.raises(FdError, match="not finite"):
         fd_solve(problem, B0, rank=2, mesh=64)
-    corrections = [_Engine(EX1, B0, 64, 0).zero_correction()]
+    corrections = fd_solve(EX1, B0, 0, 64).corrections
     with pytest.raises(FdError, match="not finite"):
         rhs_assemble(0, corrections, 0.0, problem.potential,
                      problem.nonlinearity)
@@ -424,8 +423,7 @@ def test_rhs_field_refuses_anything_but_panel_arrays(smooth, weighted):
 
 
 def test_rhs_assemble_gives_panel_arrays():
-    engine = _Engine(EX2, B0, 64, 0)
-    corrections = [engine.zero_correction()]
+    corrections = fd_solve(EX2, B0, 0, 64).corrections
     rhs = rhs_assemble(0, corrections, 1.5, EX2.potential, EX2.nonlinearity)
     assert rhs.smooth.shape == rhs.weighted.shape == (2, 65)
     assert np.array_equal(rhs.weighted, corrections[0].u)
@@ -506,31 +504,31 @@ def test_corrections_are_panel_arrays_with_row_views():
         with pytest.raises(ValueError):
             c.u1.values[0] = 1.0
     assert sol.corrections[0].rhs is None
-    assert all(c.rhs.shape == (2, 65) for c in sol.corrections[1:])
+    assert sol.rhs.shape == (2, 2, 65)
+    for k, c in enumerate(sol.corrections[1:], start=1):
+        assert [np.shares_memory(c.rhs, row) for row in sol.rhs] == [
+            i == k - 1 for i in range(2)]
     assert all(c.rhs is None for c in fd_solve(EX2, B0, 2, 64).corrections)
 
 
 @pytest.mark.parametrize("problem", [EX1, EX2], ids=["smooth", "singular"])
 def test_corrections_are_rows_of_one_rank_stack(problem):
     sol = fd_solve(problem, B0, rank=5, mesh=64)
-    stack = sol.corrections[0].u.base
-    assert stack.shape == (6, 2, 65)
+    assert sol.u.shape == (6, 2, 65)
     for k, c in enumerate(sol.corrections):
-        assert [np.shares_memory(c.u, row) for row in stack] == [
+        assert [np.shares_memory(c.u, row) for row in sol.u] == [
             i == k for i in range(6)]
 
 
 def test_engine_refuses_a_repeated_step():
-    # a repeated step would overwrite the row an earlier Correction.u views
+    # a step past the last row has no row to write and must touch none
     engine = _Engine(EX1, B0, 64, 2)
-    corrections = [engine.zero_correction()]
     for _ in range(2):
-        corrections.append(engine.step(corrections))
-    kept = corrections[1].u.copy()
-    for seen in (corrections[:-1], corrections[:1], corrections):
-        with pytest.raises(FdError, match="corrections 0..j"):
-            engine.step(seen)
-    assert np.array_equal(corrections[1].u, kept)
+        engine.step()
+    kept = engine.u.copy()
+    with pytest.raises(FdError, match="filled"):
+        engine.step()
+    assert np.array_equal(engine.u, kept)
 
 
 def _steps_traced(problem, mesh, rank, warm):
@@ -540,25 +538,25 @@ def _steps_traced(problem, mesh, rank, warm):
     """
     panel = 2 * (mesh + 1) * np.dtype(float).itemsize
     engine = _Engine(problem, B0, mesh, rank)
-    corrections = [engine.zero_correction()]
     for _ in range(warm):
-        corrections.append(engine.step(corrections))
+        engine.step()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         for _ in range(rank - warm):
-            corrections.append(engine.step(corrections))
+            engine.step()
         end, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return (end - start) / panel, (peak - start) / panel
 
 
-# Measured: ex1 retains 0.22 panel arrays over six steps (the Correction
-# objects and their row views) and peaks at 4.2, the quadrature's two
-# half-length sums, the sine sweep's temporary and the tails' products;
-# ex2 peaks at 6.2 in the weighted rule. A step that allocated its du or
-# rhs would retain one or two panel arrays per step, six or twelve here.
+# Measured: ex1 retains 0.09 panel arrays over six steps and ex2 0.06,
+# no whole array: a step keeps nothing it makes. ex1 peaks at 4.1, the
+# quadrature's two half-length sums, the sine sweep's temporary and the
+# tails' products; ex2 peaks at 6.1 in the weighted rule. A step that
+# allocated its du or rhs would retain one or two panel arrays per step,
+# six or twelve here.
 @pytest.mark.parametrize("problem,peak_bound", [(EX1, 5.0), (EX2, 7.0)],
                          ids=["ex1", "ex2"])
 def test_engine_steps_write_in_place(problem, peak_bound):
@@ -572,14 +570,11 @@ def test_engines_stepped_in_turn_share_no_scratch(problem):
     # two engines stepped alternately give the corrections of two solves
     branches = ascending_branches(2)
     engines = [_Engine(problem, b, 64, 4) for b in branches]
-    runs = [[e.zero_correction()] for e in engines]
     for _ in range(4):
-        for engine, corrections in zip(engines, runs):
-            corrections.append(engine.step(corrections))
-    for b, corrections in zip(branches, runs):
-        alone = fd_solve(problem, b, 4, 64).corrections
-        for got, want in zip(corrections, alone, strict=True):
-            assert got.lambda_j == want.lambda_j and got.c2_j == want.c2_j
-            for field in ("u", "du", "rhs"):
-                a, b_ = getattr(got, field), getattr(want, field)
-                assert (a is None and b_ is None) or np.array_equal(a, b_)
+        for engine in engines:
+            engine.step()
+    for b, engine in zip(branches, engines):
+        alone = fd_solve(problem, b, 4, 64)
+        for field in ("lambdas", "c2", "u", "du", "rhs"):
+            a, b_ = getattr(engine, field), getattr(alone, field)
+            assert (a is None and b_ is None) or np.array_equal(a, b_)

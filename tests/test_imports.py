@@ -1,12 +1,16 @@
-"""Every imported name is used, and every private name of the package is read.
+"""Every imported name is used, every private name of the package is read,
+and the README names every export.
 
-Stand-ins for a linter's unused-import rule and a dead-code check.
+The first two stand in for a linter's unused-import rule and a dead-code
+check.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import transeig
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "transeig").glob("*.py"))
@@ -96,3 +100,9 @@ def test_every_private_name_of_the_package_is_read():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert sum(len(private_definitions(s)) for s in sources) > 40
     assert unread_private_names(sources) == []
+
+
+def test_readme_names_every_export():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in transeig.__all__
+            if f"`{name}`" not in readme and f"`{name}(" not in readme] == []

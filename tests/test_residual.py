@@ -107,6 +107,15 @@ def test_count_zeros_from_solver():
     assert count_interior_zeros(sol.u_total()) == 0
 
 
+def test_count_zeros_refuses_a_tolerance_that_is_not_finite_non_negative():
+    # every sample fails `>= tol` at a nan or inf tol, which read 0 zeros
+    u = fd_solve(EX1, BranchId("II", 4), rank=2, mesh=256).u_total()
+    assert count_interior_zeros(u) == count_interior_zeros(u, 0.0) == 7
+    for tol in (math.nan, math.inf, -1e-6):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            count_interior_zeros(u, tol)
+
+
 def test_log_table_layout():
     reports = {(0, 0): 1.0, (0, 1): math.exp(-3.0),
                (2, 0): math.exp(2.0), (2, 1): 1e-300}
