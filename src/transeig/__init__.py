@@ -7,16 +7,15 @@ integrable interface singularity. Residual norms, convergence majorants,
 and an independent shooting oracle close the loop.
 """
 
-from .basis import (MatchingReport, ZeroApproximation, ascending_branches,
-                    check_matching, zero_eigenfunction, zero_eigenvalue)
+from .basis import (ZeroApproximation, ascending_branches, zero_eigenfunction,
+                    zero_eigenvalue)
 from .convergence import (ConvergenceReport, DecayReport, MajorantState, V0,
                           branch_constants, branch_point_radius,
                           convergence_ratio, convergence_report, decay_report,
                           estimate_radius_nonlinear, majorant_sequence,
                           radius_linear)
-from .fdcore import (DEFAULT_MESH, Correction, FdError, FdSolution, RhsField,
-                     adomian, c2_correction, fd_solve, lambda_correction,
-                     rhs_assemble, u_correction)
+from .fdcore import (DEFAULT_MESH, Correction, FdError, FdSolution, adomian,
+                     fd_solve)
 from .model import (BranchId, ModelError, NonlinearitySpec, PotentialSpec,
                     TransmissionProblem, l1_norm, load_problem)
 from .oracle import ShotResult, find_eigenvalue, shoot
@@ -32,17 +31,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchId", "ConvergenceReport", "Correction", "DecayReport",
     "DEFAULT_MESH", "FdError", "FdSolution", "GridFunction", "MajorantState",
-    "MatchingReport", "ModelError", "NonlinearitySpec", "PanelFn",
-    "PanelMesh", "PotentialSpec", "QuadratureError", "ResidualReport",
-    "RhsField", "ShotResult", "TransmissionProblem", "V0",
-    "ZeroApproximation", "adomian", "ascending_branches", "branch_constants",
-    "branch_point_radius", "c2_correction", "check_matching",
+    "ModelError", "NonlinearitySpec", "PanelFn", "PanelMesh",
+    "PotentialSpec", "QuadratureError", "ResidualReport", "ShotResult",
+    "TransmissionProblem", "V0", "ZeroApproximation", "adomian",
+    "ascending_branches", "branch_constants", "branch_point_radius",
     "convergence_ratio", "convergence_report", "count_interior_zeros",
     "cumulative_simpson", "decay_report", "estimate_radius_nonlinear",
-    "fd_solve", "find_eigenvalue",
-    "integrated_residual", "kernel_convolution", "l1_norm",
-    "lambda_correction", "load_problem", "log_table", "majorant_sequence",
-    "pointwise_residual", "radius_linear", "residual_by_rank",
-    "residual_report", "rhs_assemble", "shoot", "u_correction",
-    "weighted_cumulative", "zero_eigenfunction", "zero_eigenvalue",
+    "fd_solve", "find_eigenvalue", "integrated_residual",
+    "kernel_convolution", "l1_norm", "load_problem", "log_table",
+    "majorant_sequence", "pointwise_residual", "radius_linear",
+    "residual_by_rank", "residual_report", "shoot", "weighted_cumulative",
+    "zero_eigenfunction", "zero_eigenvalue",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INTERFACE, BranchId, ModelError
+from .model import BranchId, ModelError
 
 
 @dataclass(frozen=True)
@@ -59,37 +59,6 @@ def zero_eigenfunction(branch: BranchId) -> ZeroApproximation:
     else:
         c2 = -(((-1) ** branch.n) + 1.0) / (2.0 * math.pi * branch.n)
     return ZeroApproximation(branch=branch, lambda0=lam0, c2_zero=c2)
-
-
-@dataclass(frozen=True)
-class MatchingReport:
-    """Absolute defects of the four boundary and interface conditions."""
-
-    left_boundary: float
-    right_boundary: float
-    continuity: float
-    flux_jump: float
-    tol: float
-
-    @property
-    def defects(self) -> tuple[float, float, float, float]:
-        return (self.left_boundary, self.right_boundary,
-                self.continuity, self.flux_jump)
-
-    @property
-    def ok(self) -> bool:
-        return max(self.defects) < self.tol
-
-
-def check_matching(z: ZeroApproximation, tol: float = 1e-12) -> MatchingReport:
-    """Evaluate u1(0), u2(1), [u](1/2), and [u'](1/2) - 1 numerically."""
-    return MatchingReport(
-        left_boundary=abs(float(z.u1(0.0))),
-        right_boundary=abs(float(z.u2(1.0))),
-        continuity=abs(float(z.u2(INTERFACE)) - float(z.u1(INTERFACE))),
-        flux_jump=abs(float(z.du2(INTERFACE)) - float(z.du1(INTERFACE)) - 1.0),
-        tol=tol,
-    )
 
 
 def ascending_branches(count: int) -> list[BranchId]:

@@ -64,6 +64,11 @@ def _resolve_branch(args: argparse.Namespace,
         return BranchId(family=file_branch.family,
                         n=args.n if args.n is not None else file_branch.n,
                         sign=sign if sign is not None else file_branch.sign)
+    given = [flag for flag, value in (("--n", args.n), ("--sign", args.sign))
+             if value is not None]
+    if given:
+        raise ModelError("without --family or a branch record in the problem "
+                         f"file, {' and '.join(given)} cannot select a branch")
     return ascending_branches(1)[0]
 
 

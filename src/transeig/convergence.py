@@ -39,8 +39,11 @@ def radius_linear(q_norm: float) -> float:
         raise ValueError("potential norm must be finite and non-negative")
     if q_norm == 0.0:
         return math.inf
-    return 1.0 / ((1.0 + V0) * q_norm
-                  * (1.0 + 2.0 * V0 + 2.0 * math.sqrt(V0 * (1.0 + V0))))
+    scale = 1.0 + 2.0 * V0 + 2.0 * math.sqrt(V0 * (1.0 + V0))
+    product = (1.0 + V0) * q_norm * scale
+    if math.isinf(product):  # q_norm above about 3.9e306; R is subnormal
+        return 1.0 / ((1.0 + V0) * scale) / q_norm
+    return 1.0 / product
 
 
 def branch_constants(branch: BranchId) -> tuple[float, float]:

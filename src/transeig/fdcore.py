@@ -128,27 +128,6 @@ class Correction:
 
 
 @dataclass
-class RhsField:
-    """Right-hand side of a correction problem, split smooth/weighted.
-
-    Both parts are (2, M+1) panel arrays. The smooth part is integrated
-    directly; the weighted part, None for a smooth potential, carries the
-    factor that multiplies the singular interface weight and goes through
-    the substitution rule.
-    """
-
-    lambda0: float
-    smooth: np.ndarray
-    weighted: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        shape = np.shape(self.smooth)
-        weighted = shape if self.weighted is None else np.shape(self.weighted)
-        if len(shape) != 2 or shape[0] != 2 or weighted != shape:
-            raise FdError("right-hand side needs (2, M+1) panel arrays")
-
-
-@dataclass
 class FdSolution:
     """A solve's rank arrays, row k for correction k.
 
@@ -232,8 +211,7 @@ class _Frame:
 
     trig stacks cos(w*x) and sin(w*x) at the nodes as panel arrays, so the
     cos and sin cumulants of a field take one quadrature call. The engine
-    is a frame plus the problem data; the step-level functions build a bare
-    frame for the fields they are given.
+    is a frame plus the problem data.
     """
 
     def __init__(self, branch: BranchId, lambda0: float, mesh_m: int):
@@ -374,55 +352,6 @@ class _Engine(_Frame):
             rhs = self.rhs[j]
             np.subtract(g, np.multiply(lam, self.u[0], out=rhs), out=rhs)
         self.filled += 1
-
-
-def _rhs_frame(branch: BranchId, rhs: RhsField):
-    """Frame for the right-hand side plus the cumulants of its field."""
-    frame = _Frame(branch, rhs.lambda0, rhs.smooth.shape[-1] - 1)
-    return frame, frame.cumulants(rhs.smooth, rhs.weighted)
-
-
-def _driving(corrections: list[Correction], q: PotentialSpec,
-             n: NonlinearitySpec):
-    """Driving field and weighted factor of the next problem, from scratch."""
-    u = np.stack([c.u for c in corrections])
-    q = _potential_on_panels(q, _panel_nodes(u.shape[-1] - 1))
-    return _driving_field([c.lambda_j for c in corrections], u, q,
-                          adomian(n, u))
-
-
-def lambda_correction(branch: BranchId, corrections: list[Correction],
-                      q: PotentialSpec, n: NonlinearitySpec) -> float:
-    """Next eigenvalue term from the corrections computed so far."""
-    if not corrections:
-        raise FdError("need at least the zero-order correction")
-    zero = corrections[0]
-    frame = _Frame(branch, zero.lambda_j, zero.u.shape[-1] - 1)
-    return (frame.weight_total(frame.cumulants(*_driving(corrections, q, n)))
-            / frame.weight_total(frame.cumulants(zero.u)))
-
-
-def rhs_assemble(j: int, corrections: list[Correction], lambda_next: float,
-                 q: PotentialSpec, n: NonlinearitySpec) -> RhsField:
-    """Right-hand side of the rank-(j+1) problem, given its eigenvalue."""
-    if j != len(corrections) - 1:
-        raise FdError("rhs_assemble expects corrections 0..j")
-    g, weighted = _driving(corrections, q, n)
-    zero = corrections[0]
-    return RhsField(zero.lambda_j, g - lambda_next * zero.u, weighted)
-
-
-def c2_correction(branch: BranchId, rhs: RhsField) -> float:
-    """Right-panel amplitude for the assembled right-hand side."""
-    frame, cumulants = _rhs_frame(branch, rhs)
-    return frame.amplitude(cumulants)
-
-
-def u_correction(branch: BranchId, rhs: RhsField,
-                 c2: float) -> tuple[PanelFn, PanelFn]:
-    """Eigenfunction correction pieces for the assembled right-hand side."""
-    frame, cumulants = _rhs_frame(branch, rhs)
-    return _rows(frame.pieces(cumulants, c2)[0])
 
 
 def fd_solve(problem: TransmissionProblem, branch: BranchId, rank: int,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from transeig.basis import (ascending_branches, check_matching,
-                            zero_eigenfunction, zero_eigenvalue)
+from transeig.basis import (ascending_branches, zero_eigenfunction,
+                            zero_eigenvalue)
 from transeig.model import BranchId, ModelError
 
 # Rank-0 eigenvalues of the six lowest branches, frozen from independent
@@ -38,8 +38,11 @@ def test_matching_defects_small_across_branches():
     branches = ascending_branches(50)
     assert max(zero_eigenvalue(b) for b in branches) > 1e4
     for b in branches:
-        report = check_matching(zero_eigenfunction(b), tol=1e-9)
-        assert report.ok, (b.tag, report.defects)
+        z = zero_eigenfunction(b)
+        # u1(0), u2(1), [u](1/2) and [u'](1/2) - 1
+        defects = [z.u1(0.0), z.u2(1.0), z.u2(0.5) - z.u1(0.5),
+                   z.du2(0.5) - z.du1(0.5) - 1.0]
+        assert max(abs(float(d)) for d in defects) < 1e-9, (b.tag, defects)
 
 
 def test_family_two_odd_right_panel_vanishes():

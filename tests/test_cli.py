@@ -135,6 +135,35 @@ def test_solve_sign_flag_keeps_file_family(tmp_path):
                                  "rank": 1, "sign": -1}
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--n", "3", "--sign", "-"], "--n and --sign"),
+    (["--n", "3"], "--n"),
+    (["--sign", "-"], "--sign"),
+], ids=["both", "n", "sign"])
+def test_solve_refuses_branch_flags_without_a_family(tmp_path, capsys, flags,
+                                                     named):
+    # no --family and no branch record: the flags have nothing to refine
+    prob = write_free_problem(tmp_path)
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--problem", str(prob), *flags, "--rank", "1",
+                     "--mesh", "64", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: without --family or a branch record in the problem file, "
+        f"{named} cannot select a branch\n")
+    assert not out.exists()
+
+
+def test_solve_without_branch_flags_or_record_solves_the_lowest(tmp_path):
+    prob = write_free_problem(tmp_path)
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--problem", str(prob), "--rank", "1",
+                     "--mesh", "64", "--out", str(out)])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["I_plus_0.csv",
+                                                      "I_plus_0.json"]
+
+
 def test_solve_family_flag_default_index(tmp_path):
     prob = write_free_problem(tmp_path)
     out = tmp_path / "out"

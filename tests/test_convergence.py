@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,24 @@ def test_linear_radius_matches_hand_formula():
     for q in (0.3, 1.0, 2.0, 7.5):
         assert radius_linear(q) == pytest.approx(radius_linear_by_hand(q),
                                                  rel=1e-14)
+
+
+@pytest.mark.parametrize("q_norm", [1e307, 1e308])
+def test_linear_radius_survives_an_overflowing_product(q_norm):
+    # (1 + V0) * q_norm * (...) overflows, but R is a representable subnormal
+    scale = 1.0 + 2.0 * V0 + 2.0 * math.sqrt(V0 * (1.0 + V0))
+    exact = 1 / (Fraction(1.0 + V0) * Fraction(q_norm) * Fraction(scale))
+    radius = radius_linear(q_norm)
+    assert abs(Fraction(radius) - exact) <= exact / 10 ** 12
+    # below the overflow the expression and its bits are the same as before
+    assert radius_linear(3.8e306) == radius_linear_by_hand(3.8e306)
+
+
+def test_report_on_an_overflowing_product_fails_the_condition():
+    report = convergence_report(1e308, None, BranchId("I", 0, 1), 2)
+    assert 0.0 < report.radius < 3e-310
+    assert report.ratio == math.inf
+    assert report.condition_satisfied is False
 
 
 def test_linear_radius_monotone_in_norm():

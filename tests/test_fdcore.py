@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +8,11 @@ from hypothesis import strategies as st
 
 from transeig.basis import ascending_branches, zero_eigenvalue
 from transeig.convergence import branch_constants
-from transeig.fdcore import (DEFAULT_MESH, FdError, RhsField,
-                             _AdomianSeries, _driving_field, _Engine,
-                             adomian, c2_correction,
-                             fd_solve, lambda_correction, rhs_assemble,
-                             u_correction)
+from transeig.fdcore import (DEFAULT_MESH, FdError, _AdomianSeries,
+                             _driving_field, _Engine, _Frame, adomian,
+                             fd_solve)
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
-                            TransmissionProblem, load_problem)
+                            TransmissionProblem)
 from transeig import quadrature
 from transeig.quadrature import PanelMesh
 from transeig.residual import residual_by_rank
@@ -25,7 +22,6 @@ EX1 = TransmissionProblem(PotentialSpec.polynomial([0.0, 1.0, 3.0]),
 EX2 = TransmissionProblem(PotentialSpec.inverse_sqrt_half(),
                           NonlinearitySpec.power(2))
 B0 = BranchId("I", 0, 1)
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def series_coefficient_by_sampling(n, u_values, j):
@@ -225,16 +221,6 @@ CUBIC = TransmissionProblem(PotentialSpec.polynomial([1.0, -4.0, 7.0, 2.5]),
                             NonlinearitySpec((0.5, -2.0, 3.0)))
 
 
-@pytest.mark.parametrize("problem", [EX1, EX2, CUBIC],
-                         ids=["ex1", "ex2", "cubic"])
-def test_lambda_correction_catches_up_with_fd_solve(problem):
-    sol = fd_solve(problem, B0, rank=4, mesh=128)
-    for j in range(4):
-        lam = lambda_correction(B0, sol.corrections[:j + 1],
-                                problem.potential, problem.nonlinearity)
-        assert lam == sol.corrections[j + 1].lambda_j
-
-
 def test_zero_potential_corrections_vanish():
     problem = TransmissionProblem(PotentialSpec.zero())
     sol = fd_solve(problem, B0, rank=3, mesh=128)
@@ -328,48 +314,73 @@ def test_solution_evaluation_helpers():
     assert du2.values[0] - du1.values[-1] == pytest.approx(1.0, abs=1e-8)
 
 
-def assert_views_match_engine(problem, branch, mesh, rank):
-    """The step-level functions reproduce each engine step, lambda exactly."""
-    q, nl = problem.potential, problem.nonlinearity
-    corrections = fd_solve(problem, branch, rank, mesh).corrections
-    for j, step in enumerate(corrections[1:]):
-        lam = lambda_correction(branch, corrections[:j + 1], q, nl)
-        rhs = rhs_assemble(j, corrections[:j + 1], lam, q, nl)
-        c2 = c2_correction(branch, rhs)
-        u1, u2 = u_correction(branch, rhs, c2)
-        assert lam == step.lambda_j
-        assert c2 == pytest.approx(step.c2_j, abs=1e-12)
-        assert np.max(np.abs(u1.values - step.u1.values)) < 1e-12
-        assert np.max(np.abs(u2.values - step.u2.values)) < 1e-12
+def reference_step(problem, branch, lambdas, u):
+    """Correction j+1 from the rows 0..j of lambdas and u, in fresh arrays.
+
+    The kept reference of one engine step: the driving field is an explicit
+    loop adding p = 1..j from 0.0, the Adomian term is rebuilt from rows
+    0..j, and a bare frame supplies the cumulants, the eigenvalue quotient,
+    the amplitude and the pieces. Returns lambda, c2, u, du and the smooth
+    right-hand side (None for the singular weight).
+    """
+    j = len(u) - 1
+    frame = _Frame(branch, lambdas[0], u.shape[-1] - 1)
+    g = np.zeros_like(u[0])
+    for p in range(1, j + 1):
+        g -= lambdas[j + 1 - p] * u[p]
+    weighted = None
+    if problem.potential.is_singular:
+        weighted = u[j]
+    else:
+        x = np.stack([PanelMesh(panel, frame.m).nodes
+                      for panel in ("left", "right")])
+        g += problem.potential(x) * u[j]
+    g += adomian(problem.nonlinearity, u)
+    zero_cumulants = frame.cumulants(u[0])
+    cum = frame.cumulants(g, weighted)
+    lam = frame.weight_total(cum) / frame.weight_total(zero_cumulants)
+    # the final field is g - lam*u(0), so its cumulants follow by linearity
+    cum -= lam * zero_cumulants
+    amp = frame.amplitude(cum)
+    u_next, du_next = frame.pieces(cum, amp)
+    rhs = None if weighted is not None else g - lam * u[0]
+    return lam, amp, u_next, du_next, rhs
 
 
-# the ids of the smooth cases predate the singular ones
-@pytest.mark.parametrize("name,branch", [
-    pytest.param("example1.json", BranchId("I", 0, 1), id="branch0"),
-    pytest.param("example1.json", BranchId("II", 1), id="branch1"),
-    pytest.param("example2.json", BranchId("I", 0, 1),
-                 id="example2-branch0"),
-    pytest.param("example2.json", BranchId("II", 1), id="example2-branch1"),
-])
-def test_standalone_ops_reproduce_the_engine(name, branch):
-    problem, _ = load_problem(PROBLEMS / name)
-    assert_views_match_engine(problem, branch, 128, 3)
+def assert_reference_steps_give_every_row(problem, branch, rank, mesh):
+    """Each row of the solve is the reference step's, byte for byte."""
+    sol = fd_solve(problem, branch, rank, mesh)
+    assert (sol.rhs is None) == problem.potential.is_singular
+    for j in range(rank):
+        lam, amp, u, du, rhs = reference_step(
+            problem, branch, sol.lambdas[:j + 1].copy(), sol.u[:j + 1].copy())
+        assert np.float64(lam).tobytes() == sol.lambdas[j + 1].tobytes()
+        assert np.float64(amp).tobytes() == sol.c2[j + 1].tobytes()
+        assert u.tobytes() == sol.u[j + 1].tobytes()
+        assert du.tobytes() == sol.du[j + 1].tobytes()
+        if rhs is not None:
+            assert rhs.tobytes() == sol.rhs[j].tobytes()
+
+
+@pytest.mark.parametrize("rank,mesh", [(4, 128), (8, 64)],
+                         ids=["r4m128", "r8m64"])
+@pytest.mark.parametrize("branch", ascending_branches(4),
+                         ids=lambda b: b.tag)
+@pytest.mark.parametrize("problem", [EX1, EX2, CUBIC],
+                         ids=["ex1", "ex2", "cubic"])
+def test_reference_step_reproduces_every_row(problem, branch, rank, mesh):
+    assert_reference_steps_give_every_row(problem, branch, rank, mesh)
 
 
 @given(coeffs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
        index=st.integers(0, 3))
 @settings(max_examples=25, deadline=None)
-def test_standalone_ops_reproduce_the_engine_for_random_potentials(
+def test_reference_step_reproduces_every_row_for_random_potentials(
         coeffs, index):
     problem = TransmissionProblem(PotentialSpec.polynomial(coeffs),
                                   NonlinearitySpec.power(2))
-    assert_views_match_engine(problem, ascending_branches(4)[index], 64, 2)
-
-
-def test_rhs_assemble_index_check():
-    corrections = fd_solve(EX1, B0, 0, 64).corrections
-    with pytest.raises(FdError):
-        rhs_assemble(1, corrections, 0.0, EX1.potential, EX1.nonlinearity)
+    assert_reference_steps_give_every_row(
+        problem, ascending_branches(4)[index], 2, 64)
 
 
 def _inverse_sqrt_half(x):
@@ -389,44 +400,20 @@ def test_non_finite_tabulated_potential_raises(evaluator):
                                   NonlinearitySpec.power(2))
     with pytest.raises(FdError, match="not finite"):
         fd_solve(problem, B0, rank=2, mesh=64)
-    corrections = fd_solve(EX1, B0, 0, 64).corrections
-    with pytest.raises(FdError, match="not finite"):
-        rhs_assemble(0, corrections, 0.0, problem.potential,
-                     problem.nonlinearity)
 
 
 def test_u_correction_constant_forcing():
     lam0 = zero_eigenvalue(B0)
     w = math.sqrt(lam0)
     mesh_left = PanelMesh("left", 256)
-    rhs = RhsField(lambda0=lam0,
-                   smooth=np.stack([np.ones(257), np.zeros(257)]))
-    u1, u2 = u_correction(B0, rhs, c2=0.0)
+    frame = _Frame(B0, lam0, 256)
+    cum = frame.cumulants(np.stack([np.ones(257), np.zeros(257)]))
+    (u1, u2), _ = frame.pieces(cum, 0.0)
     exact = (1.0 - np.cos(w * mesh_left.nodes)) / lam0
-    assert np.max(np.abs(u1.values - exact)) < 1e-10
+    assert np.max(np.abs(u1 - exact)) < 1e-10
     # cos(w/2) = -1/2 on family I, so the interface value is 1.5/lambda0
-    assert u1.values[-1] == pytest.approx(1.5 / lam0, abs=1e-10)
-    assert np.all(u2.values == 0.0)
-
-
-@pytest.mark.parametrize("smooth,weighted", [
-    (np.ones(65), None),
-    (np.ones((1, 65)), None),
-    (np.ones((2, 2, 65)), None),
-    (np.ones((2, 65)), np.ones(65)),
-    (np.ones((2, 65)), np.ones((2, 33))),
-], ids=["1d", "one-row", "3d", "1d-weighted", "weighted-other-mesh"])
-def test_rhs_field_refuses_anything_but_panel_arrays(smooth, weighted):
-    # a 1-D field would otherwise broadcast onto both panels
-    with pytest.raises(FdError, match="panel arrays"):
-        RhsField(zero_eigenvalue(B0), smooth, weighted)
-
-
-def test_rhs_assemble_gives_panel_arrays():
-    corrections = fd_solve(EX2, B0, 0, 64).corrections
-    rhs = rhs_assemble(0, corrections, 1.5, EX2.potential, EX2.nonlinearity)
-    assert rhs.smooth.shape == rhs.weighted.shape == (2, 65)
-    assert np.array_equal(rhs.weighted, corrections[0].u)
+    assert u1[-1] == pytest.approx(1.5 / lam0, abs=1e-10)
+    assert np.all(u2 == 0.0)
 
 
 def test_fd_solve_argument_validation():

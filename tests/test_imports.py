@@ -1,7 +1,7 @@
 """Every imported name is used, every private name of the package is read,
-and the README names every export.
+every public one is read or exported, and the README names every export.
 
-The first two stand in for a linter's unused-import rule and a dead-code
+The first three stand in for a linter's unused-import rule and a dead-code
 check.
 """
 
@@ -49,30 +49,42 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def definitions(source: str) -> tuple[list[str], list[str]]:
+    """Names a source binds at module level, and the methods of its classes.
+
+    A module-level name is bound by a def, a class or an assignment.
+    """
+    names, methods = [], []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                methods += [m.name for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return names, methods
+
+
 def private_definitions(source: str) -> list[str]:
     """Module-level _names a source defines, and the _methods of its classes.
 
     Dunder names are left out.
     """
-    names = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
-            if isinstance(node, ast.ClassDef):
-                names += [m.name for m in node.body
-                          if isinstance(m, ast.FunctionDef)]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = getattr(node, "targets", [getattr(node, "target", None)])
-            names += [n.id for t in targets for n in ast.walk(t)
-                      if isinstance(n, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    names, methods = definitions(source)
+    return [n for n in names + methods
+            if n.startswith("_") and not n.startswith("__")]
 
 
-def unread_private_names(sources: list[str]) -> list[str]:
-    """Private names defined in the sources and loaded in none of them.
+def public_definitions(source: str) -> list[str]:
+    """Module-level names a source defines without a leading underscore."""
+    return [n for n in definitions(source)[0] if not n.startswith("_")]
 
-    A name counts as read where it is loaded, as `_name` or `module._name`.
-    """
+
+def read_names(sources: list[str]) -> set[str]:
+    """Names loaded in the sources, as `name` or `module.name`."""
     read = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -80,8 +92,21 @@ def unread_private_names(sources: list[str]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private names defined in the sources and loaded in none of them."""
+    read = read_names(sources)
     return [name for source in sources
             for name in private_definitions(source) if name not in read]
+
+
+def unread_public_names(sources: list[str], exported: list[str]) -> list[str]:
+    """Public module-level names loaded in no source and not exported."""
+    read = read_names(sources) | set(exported)
+    return [name for source in sources
+            for name in public_definitions(source) if name not in read]
 
 
 def test_dead_code_checker_flags_only_unread_private_names():
@@ -100,6 +125,23 @@ def test_every_private_name_of_the_package_is_read():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert sum(len(private_definitions(s)) for s in sources) > 40
     assert unread_private_names(sources) == []
+
+
+def test_dead_code_checker_flags_only_unread_public_names():
+    sources = ["import math\nLIMIT = 1\nORPHAN: int = 2\n_hidden = 3\n"
+               "def helper():\n    return LIMIT\n"
+               "def exported():\n    pass\n"
+               "class Gone:\n    def method(self):\n        pass\n"
+               "def unused():\n    return math.pi\n",
+               "import mod\nprint(mod.helper())\n"]
+    assert unread_public_names(sources, ["exported"]) == [
+        "ORPHAN", "Gone", "unused"]
+
+
+def test_every_public_name_of_the_package_is_read_or_exported():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert sum(len(public_definitions(s)) for s in sources) > 50
+    assert unread_public_names(sources, transeig.__all__) == []
 
 
 def test_readme_names_every_export():
