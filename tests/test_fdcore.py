@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from transeig.fdcore import (DEFAULT_MESH, FdError, _AdomianSeries,
                              _driving_field, _Engine, _Frame, adomian,
                              fd_solve)
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
-                            TransmissionProblem)
+                            TransmissionProblem, load_problem)
 from transeig import quadrature
 from transeig.quadrature import PanelMesh
 from transeig.residual import residual_by_rank
@@ -22,6 +23,7 @@ EX1 = TransmissionProblem(PotentialSpec.polynomial([0.0, 1.0, 3.0]),
 EX2 = TransmissionProblem(PotentialSpec.inverse_sqrt_half(),
                           NonlinearitySpec.power(2))
 B0 = BranchId("I", 0, 1)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def series_coefficient_by_sampling(n, u_values, j):
@@ -370,6 +372,20 @@ def assert_reference_steps_give_every_row(problem, branch, rank, mesh):
                          ids=["ex1", "ex2", "cubic"])
 def test_reference_step_reproduces_every_row(problem, branch, rank, mesh):
     assert_reference_steps_give_every_row(problem, branch, rank, mesh)
+
+
+# the ids of the smooth cases predate the singular ones
+@pytest.mark.parametrize("name,branch", [
+    pytest.param("example1.json", BranchId("I", 0, 1), id="branch0"),
+    pytest.param("example1.json", BranchId("II", 1), id="branch1"),
+    pytest.param("example2.json", BranchId("I", 0, 1),
+                 id="example2-branch0"),
+    pytest.param("example2.json", BranchId("II", 1), id="example2-branch1"),
+])
+def test_standalone_ops_reproduce_the_engine(name, branch):
+    # the shipped problem files, as load_problem reads them
+    problem, _ = load_problem(PROBLEMS / name)
+    assert_reference_steps_give_every_row(problem, branch, 3, 128)
 
 
 @given(coeffs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
