@@ -11,13 +11,13 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .basis import ascending_branches, zero_eigenvalue
-from .convergence import convergence_report
+from .convergence import branch_point_radius, convergence_report
 from .fdcore import DEFAULT_MESH, fd_solve
 from .model import (BranchId, ModelError, TransmissionProblem, l1_norm,
                     load_problem)
@@ -59,24 +59,34 @@ def _resolve_branch(args: argparse.Namespace,
         sign = -1 if args.sign == "-" else 1
     if args.family in ("I", "II"):
         n = args.n if args.n is not None else (0 if args.family == "I" else 1)
-        return BranchId(family=args.family, n=n, sign=sign or 1)
-    if file_branch is not None:
-        return BranchId(family=file_branch.family,
-                        n=args.n if args.n is not None else file_branch.n,
-                        sign=sign if sign is not None else file_branch.sign)
-    given = [flag for flag, value in (("--n", args.n), ("--sign", args.sign))
-             if value is not None]
-    if given:
-        raise ModelError("without --family or a branch record in the problem "
-                         f"file, {' and '.join(given)} cannot select a branch")
-    return ascending_branches(1)[0]
+        branch = BranchId(family=args.family, n=n, sign=sign or 1)
+    elif file_branch is not None:
+        branch = BranchId(family=file_branch.family,
+                          n=args.n if args.n is not None else file_branch.n,
+                          sign=sign if sign is not None else file_branch.sign)
+    else:
+        given = [flag for flag, value in (("--n", args.n),
+                                          ("--sign", args.sign))
+                 if value is not None]
+        if given:
+            raise ModelError("without --family or a branch record in the "
+                             f"problem file, {' and '.join(given)} cannot "
+                             "select a branch")
+        return ascending_branches(1)[0]
+    # BranchId drops the sign of a family II branch, so --sign would be lost
+    if sign is not None and branch.family == "II":
+        raise ModelError(f"--sign applies to family I branches only; "
+                         f"{branch.tag} has no sign")
+    return branch
 
 
-def _branch_payload(problem: TransmissionProblem, l1: float,
+def _branch_payload(problem: TransmissionProblem, l1: float, radius: float,
                     args: argparse.Namespace, branch: BranchId) -> dict:
     """Solve one branch and render its CSV and JSON texts.
 
-    l1 is the L1 norm of the problem's potential.
+    l1 is the L1 norm of the problem's potential and radius the
+    branch_point_radius of l1 and the problem's nonlinearity; both depend
+    on the problem only, so a command computes them once for all branches.
     """
     rank = args.rank
     sol = fd_solve(problem, branch, rank, args.mesh)
@@ -88,7 +98,8 @@ def _branch_payload(problem: TransmissionProblem, l1: float,
             raise ValueError(f"{branch.tag}: residual norm at rank {r.rank} "
                              f"is {r.combined}; nothing was written")
     zero_count = count_interior_zeros(sol.u_total())
-    conv = convergence_report(l1, problem.nonlinearity, branch, rank)
+    conv = convergence_report(l1, problem.nonlinearity, branch, rank,
+                              radius)
     lines = ["m,lambda,sup_u1,sup_u2,residual_norm"]
     lams = np.cumsum(sol.lambdas)  # adds in rank order, as lambda_partial
     for m, (u, report) in enumerate(zip(sol.u, reports)):
@@ -123,6 +134,12 @@ def _branch_payload(problem: TransmissionProblem, l1: float,
     }
 
 
+def _norm_and_radius(problem: TransmissionProblem) -> tuple[float, float]:
+    """The potential's L1 norm and the radius _branch_payload reports."""
+    l1 = l1_norm(problem.potential)
+    return l1, branch_point_radius(l1, problem.nonlinearity)
+
+
 def _write_branch_files(out: Path, payload: dict) -> None:
     (out / f"{payload['tag']}.csv").write_text(payload["csv"],
                                                encoding="utf-8")
@@ -132,8 +149,8 @@ def _write_branch_files(out: Path, payload: dict) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem, file_branch = load_problem(args.problem)
-    payload = _branch_payload(problem, l1_norm(problem.potential), args,
-                              _resolve_branch(args, file_branch))
+    branch = _resolve_branch(args, file_branch)
+    payload = _branch_payload(problem, *_norm_and_radius(problem), args, branch)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_branch_files(out, payload)
@@ -147,8 +164,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     branches = ascending_branches(args.first)
     problem, _ = load_problem(args.problem)
-    task = partial(_branch_payload, problem, l1_norm(problem.potential),
-                   args)
+    task = partial(_branch_payload, problem, *_norm_and_radius(problem), args)
     jobs = min(args.jobs, len(branches))
     if jobs > 1:
         # imported here: multiprocessing costs every other command's start
@@ -230,7 +246,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: main is called
+    in-process many times (tests, the benchmark harness), and building the
+    parser costs about ten times as much as a parse."""
     parser = argparse.ArgumentParser(
         prog="transeig",
         description="Eigenvalue transmission problems on (0, 1) by the "

@@ -256,9 +256,16 @@ class ConvergenceReport:
 
 
 def convergence_report(q_norm: float, nbar: NonlinearitySpec | None,
-                       branch: BranchId, rank: int) -> ConvergenceReport:
-    """Assemble the diagnostics for one branch at the requested rank."""
-    radius = branch_point_radius(q_norm, nbar)
+                       branch: BranchId, rank: int,
+                       radius: float | None = None) -> ConvergenceReport:
+    """Assemble the diagnostics for one branch at the requested rank.
+
+    radius is branch_point_radius(q_norm, nbar), computed here when not
+    given; it depends on the problem only, so a caller reporting several
+    branches of one problem can compute it once.
+    """
+    if radius is None:
+        radius = branch_point_radius(q_norm, nbar)
     ratio = convergence_ratio(branch, radius)
     reports = [decay_report(ratio, m) for m in range(rank + 1)]
     return ConvergenceReport(

@@ -6,17 +6,22 @@ II.10), applies the unit slope jump at the interface, and root-finds the
 terminal boundary defect over lambda. The integrator is solve_ivp's
 DOP853, with its tableau, initial step, error norm and step control, run
 on Python floats for the 2-vector (u, u'). The tableau is carried here as
-float constants, and at import one straight-line function is generated
-from it: the twelve stages, the new state and both error sums of one step,
-each sum written out over its nonzero coefficients, so a step makes no
-loop, no list and no numpy array, and nothing outlives a shot. The root
-finder is a port of scipy's brentq, so the module imports nothing from
-scipy. Only smooth potentials are supported; the fixed slope at the origin
-removes the scaling freedom, so lambda is the single unknown.
-"""
+float constants. A problem's first shot generates one straight-line
+function from it that integrates a leg: the initial step, the step
+control, the twelve stages, the new state and both error sums of a step,
+each sum written out over its nonzero coefficients, and the right-hand
+side written out at each stage, q and N by Horner's rule on their literal
+coefficients. A bounded cache keeps the function for later shots of the
+same problem. A step makes no function call (a tabulated potential makes
+one per stage), no loop, no list and no numpy array, and nothing outlives
+a shot. The root finder is a port of scipy's brentq, so the module
+imports nothing from scipy. Only smooth potentials are supported; the
+fixed slope at the origin removes the scaling freedom, so lambda is the
+single unknown."""
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -51,28 +56,12 @@ def shoot(problem: TransmissionProblem, lam: float,
         raise ValueError("shooting requires a potential that is finite on "
                          "each panel; validate singular problems through "
                          "the integrated residual instead")
-    # model.horner inlined on Python floats: the operands and order of
-    # PotentialSpec/NonlinearitySpec.__call__, so every shot is bit-identical,
-    # without a 0-d numpy array or a function call per polynomial.
-    poly = tuple(reversed(q.coeffs)) if q.kind == "polynomial" else None
-    n = tuple(reversed((0.0,) + problem.nonlinearity.coeffs))
-
-    def rhs(x, u, du):
-        if poly is None:
-            qx = float(q(x))
-        else:
-            qx = 0.0
-            for c in poly:
-                qx = qx * x + c
-        nu = 0.0
-        for c in n:
-            nu = nu * u + c
-        return du, (qx - lam) * u + nu
-
+    leg = _leg(q.coeffs if q.kind == "polynomial" else None,
+               problem.nonlinearity.coeffs)
     xs, us, dus, nfev = [], [], [], 0
     state = (0.0, SLOPE_AT_ZERO)
     for a, b in ((0.0, INTERFACE), (INTERFACE, 1.0)):
-        x, u, du, calls = _dop853(rhs, a, b, state, rtol=tol, atol=tol * 1e-3)
+        x, u, du, calls = leg(q, lam, a, b, *state, tol, tol * 1e-3)
         xs += x
         us += u
         dus += du
@@ -86,18 +75,16 @@ def shoot(problem: TransmissionProblem, lam: float,
 # error estimator has order 7, so a step scales with error_norm ** (-1/8).
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0
-_SQRT2 = math.sqrt(2.0)
 # Accepted steps per leg before a shot gives up; an ex1 leg takes about 40.
 _MAX_STEPS = 10_000
 
 # DOP853's tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5), the
 # coefficients of solve_ivp's DOP853 as exact floats. Each sum keeps only its
-# nonzero (stage, coefficient) pairs, in stage order: from a +0.0 start a
-# zero term adds +-0.0, which leaves the sum unchanged, so a finite step is
-# bit-identical to the dense dot. A non-finite stage reaches B and E5 through
-# the nonzero entries, except the last one (f at the new point), whose error
-# weights are all zero; E5 keeps that 0.0 so that 0 * inf = nan rejects the
-# step, as in solve_ivp.
+# nonzero (stage, coefficient) pairs, in stage order: a zero term would add
+# +-0.0, which changes at most the sign of a zero sum. A non-finite stage
+# reaches B and E5 through the nonzero entries, except the last one (f at
+# the new point), whose error weights are all zero; E5 keeps that 0.0 so
+# that 0 * inf = nan rejects the step, as in solve_ivp.
 _A = (
     ((0, 0.05260015195876773),),
     ((0, 0.0197250569845379), (1, 0.0591751709536137)),
@@ -144,73 +131,31 @@ _E3 = ((0, -0.18980075407240762), (5, 4.450312892752409),
        (8, -0.4226823213237919), (9, -0.1521609496625161),
        (10, 0.20136540080403034), (11, 0.02265179219836082))
 
-
-def _generate_step():
-    """One DOP853 step as straight-line code, generated from the tableau.
-
-    step(f, x, h, u, v, fu, fv) makes the 12 f calls of a step from (u, v)
-    at x with f(x, u, v) = (fu, fv) and returns the new state, f at the new
-    point and the E5 and E3 error sums: u_new, v_new, fu_new, fv_new, e5u,
-    e5v, e3u, e3v. Stage j is (k{j}u, k{j}v), stage 0 (fu, fv). Each sum is
-    written 0.0 + c * k_j + ..., left to right over the tableau's pairs, so
-    it rounds as the loop "s = 0.0; s += c * k_j" does.
-    """
-    def total(pairs, part):
-        return " + ".join(["0.0"] + [f"{coef!r} * k{j}{part}"
-                                     for j, coef in pairs])
-
-    last = len(_A) + 1
-    lines = ["def step(f, x, h, u, v, fu, fv):", "    k0u, k0v = fu, fv"]
-    for s, (row, c) in enumerate(zip(_A, _C), start=1):
-        lines.append(f"    k{s}u, k{s}v = f(x + {c!r} * h, "
-                     f"u + ({total(row, 'u')}) * h, "
-                     f"v + ({total(row, 'v')}) * h)")
-    lines += [f"    u_new = u + h * ({total(_B, 'u')})",
-              f"    v_new = v + h * ({total(_B, 'v')})",
-              f"    k{last}u, k{last}v = f(x + h, u_new, v_new)",
-              f"    return (u_new, v_new, k{last}u, k{last}v,",
-              f"            {total(_E5, 'u')},",
-              f"            {total(_E5, 'v')},",
-              f"            {total(_E3, 'u')},",
-              f"            {total(_E3, 'v')})"]
-    namespace = {}
-    exec(compile("\n".join(lines), "<DOP853 step>", "exec"), namespace)
-    return namespace["step"]
-
-
-_step = _generate_step()
-
-
-def _sumsq(p, q):
-    """p**2 + q**2 by products, which overflow to inf instead of raising."""
-    return p * p + q * q
-
-
-def _rms(p, q):
-    """solve_ivp's RMS norm of a 2-vector."""
-    return math.sqrt(_sumsq(p, q)) / _SQRT2
-
-
-def _dop853(f, a, b, y0, rtol, atol):
-    """Integrate (u, v)' = f(x, u, v) from a to b > a with DOP853.
-
-    solve_ivp(method="DOP853")'s algorithm on Python floats: its tableau,
-    initial step, RMS error norm and step control, with no max_step.
-    Returns the accepted nodes and states, starting at a and ending at b,
-    and the number of f calls. Overflow shows up as inf or nan, which the
-    error norm rejects until the step is too small, so it raises the same
-    ValueError as a stiff problem; so does a leg that needs more than
-    _MAX_STEPS steps, where solve_ivp would step on for ever.
-    """
-    x, (u, v) = a, y0
-    fu, fv = f(x, u, v)
-    # select_initial_step
+# One leg of solve_ivp(method="DOP853") on Python floats: its initial step
+# (select_initial_step), RMS error norm and step control, with no max_step.
+# In a step, min(p, b) and max(p, r) are written as the comparisons they
+# make, which saves the calls.
+# _leg fills in the stages, the new point and the error sums from the
+# tableau, and the right-hand side at a and at the initial step's probe.
+# Overflow shows up as inf or nan, which the error norm rejects until the
+# step is too small, so it raises the same ValueError as a stiff problem;
+# so does a leg that needs more than _MAX_STEPS steps, where solve_ivp
+# would step on for ever.
+_LEG_SOURCE = """\
+def leg(q, lam, a, b, u, v, rtol, atol):
+    x, k0u = a, v
+    {rhs_at_a}
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
-    d0, d1 = _rms(u / su, v / sv), _rms(fu / su, fv / sv)
+    p, r = u / su, v / sv
+    d0 = sqrt(p * p + r * r) / SQRT2
+    p, r = k0u / su, k0v / sv
+    d1 = sqrt(p * p + r * r) / SQRT2
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, b - a)
-    gu, gv = f(a + h0, u + h0 * fu, v + h0 * fv)
-    d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
+    t, w, gu = a + h0, u + h0 * k0u, v + h0 * k0v
+    {rhs_at_probe}
+    p, r = (gu - k0u) / su, (gv - k0v) / sv
+    d2 = sqrt(p * p + r * r) / SQRT2 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -219,43 +164,144 @@ def _dop853(f, a, b, y0, rtol, atol):
     nfev = 2
     xs, us, vs = [x], [u], [v]
     while x < b:
-        if len(xs) > _MAX_STEPS:
-            raise ValueError(f"integration failed on [{a}, {b}]: more than "
-                             f"{_MAX_STEPS} steps.")
-        min_step = 10 * (math.nextafter(x, math.inf) - x)
-        h_abs = max(h_abs, min_step)
+        if len(xs) > {max_steps}:
+            raise failed(a, b, "more than {max_steps} steps.")
+        min_step = 10 * (nextafter(x, inf) - x)
+        if min_step > h_abs:
+            h_abs = min_step
         rejected = False
         while True:
             # `not >=` also stops a nan step, where solve_ivp would loop
             if not h_abs >= min_step:
-                raise ValueError(f"integration failed on [{a}, {b}]: "
-                                 "Required step size is less than spacing "
-                                 "between numbers.")
-            x_new = min(x + h_abs, b)
+                raise failed(a, b, "Required step size is less than "
+                                   "spacing between numbers.")
+            x_new = x + h_abs
+            if b < x_new:
+                x_new = b
             h = x_new - x
-            (u_new, v_new, fu_new, fv_new,
-             e5u, e5v, e3u, e3v) = _step(f, x, h, u, v, fu, fv)
-            # the 11 rows of _A and f at the new point
-            nfev += 12
-            su = atol + max(abs(u), abs(u_new)) * rtol
-            sv = atol + max(abs(v), abs(v_new)) * rtol
-            err5 = _sumsq(e5u / su, e5v / sv)
-            denom = err5 + 0.01 * _sumsq(e3u / su, e3v / sv)
-            error_norm = h * err5 / math.sqrt(denom * 2) if denom else 0.0
+            {stages}
+            {new_point}
+            nfev += {nfev_per_step}
+            p, r = abs(u), abs(u_new)
+            su = atol + (r if r > p else p) * rtol
+            p, r = abs(v), abs(v_new)
+            sv = atol + (r if r > p else p) * rtol
+            p, r = ({e5u}) / su, ({e5v}) / sv
+            err5 = p * p + r * r
+            p, r = ({e3u}) / su, ({e3v}) / sv
+            denom = err5 + 0.01 * (p * p + r * r)
+            error_norm = h * err5 / sqrt(denom * 2) if denom else 0.0
             if error_norm < 1:
-                factor = (_MAX_FACTOR if error_norm == 0 else
-                          min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT))
+                factor = ({max_factor} if error_norm == 0 else
+                          min({max_factor},
+                              {safety} * error_norm ** {exponent}))
                 if rejected:
                     factor = min(1, factor)
                 h_abs = h * factor
                 break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+            h_abs = h * max({min_factor}, {safety} * error_norm ** {exponent})
             rejected = True
-        x, u, v, fu, fv = x_new, u_new, v_new, fu_new, fv_new
+        x, u, v, k0u, k0v = x_new, u_new, v_new, k{last}u, k{last}v
         xs.append(x)
         us.append(u)
         vs.append(v)
     return xs, us, vs, nfev
+"""
+
+
+def _failed(a: float, b: float, reason: str) -> ValueError:
+    return ValueError(f"integration failed on [{a}, {b}]: {reason}")
+
+
+def _horner(var: str, coeffs, arg: str,
+            from_top: bool) -> tuple[list[str], str]:
+    """model.horner(coeffs, arg) as lines that compute it into var.
+
+    Returns the lines and the expression of the value. The operands and
+    order are model.horner's, each coefficient written as its repr (the
+    names inf and nan cover the non-finite ones), less each zero
+    coefficient, which can change only the sign of a zero. With from_top
+    the rule starts from the top nonzero coefficient c instead of
+    0.0 * arg + c, which differs only where arg is not finite.
+    """
+    value, lines = "0.0", []
+    for c in reversed(coeffs):
+        if from_top and value == "0.0":
+            value = repr(c) if c else "0.0"
+        else:
+            lines.append(f"{var} = {value} * {arg}"
+                         + (f" + {c!r}" if c else ""))
+            value = var
+    return lines, value
+
+
+@functools.lru_cache(maxsize=16)
+def _leg(q_coeffs: tuple[float, ...] | None,
+         n_coeffs: tuple[float, ...]):
+    """A problem's DOP853 leg as straight-line code, generated on first use.
+
+    q_coeffs are the potential's coefficients, None for a tabulated one,
+    and n_coeffs N's a_1..a_d. The returned leg(q, lam, a, b, u, v, rtol,
+    atol) integrates (u, v)' = (v, (q(x) - lam) u + N(u)) from (u, v) at a
+    to b > a and returns the accepted nodes and states, starting at a and
+    ending at b, and the number of right-hand side evaluations. q is the
+    PotentialSpec, which the leg calls only when it is tabulated.
+
+    The right-hand side is written out at each evaluation by _horner. q
+    starts from its top coefficient: x is finite (at the initial step's
+    probe it can be nan, but only together with u). N starts from 0.0 * u
+    at a and at the probe, so an infinite u gives nan as in model.horner,
+    and from its top coefficient inside a step, where a u that is not
+    finite makes the stage, the error sums and the error norm non-finite
+    either way, and the step is rejected alike.
+
+    Stage j is (k{j}u, k{j}v), k{j}u being the v of its point. Each stage,
+    solution and error sum is c * k_j + ..., left to right over the
+    tableau's pairs, which is the loop "s = 0.0; s += c * k_j" less its
+    0.0 start. What is left out can change only the sign of a zero, and
+    from a start that is not -0.0, which is every start shoot makes, such
+    a sign never reaches a state, a node or a step size: a state moves as
+    s + y, which is -0.0 only when s is, q enters only through q - lam,
+    and k_j only through these sums and squares. So a leg is bit-identical
+    to that loop calling PotentialSpec and NonlinearitySpec on 0-d arrays.
+    """
+    def rhs(x, u, out, in_step=True):
+        if q_coeffs is None:
+            q_lines, qx = [f"p = float(q({x}))"], "p"
+        else:
+            q_lines, qx = _horner("p", q_coeffs, x, from_top=True)
+        n_lines, nu = _horner("n", (0.0,) + n_coeffs, u, from_top=in_step)
+        return [*q_lines, *n_lines, f"{out} = ({qx} - lam) * {u} + {nu}"]
+
+    def total(pairs, part):
+        return " + ".join(f"{coef!r} * k{j}{part}" for j, coef in pairs)
+
+    last = len(_A) + 1
+    stages = []
+    for s, (row, c) in enumerate(zip(_A, _C), start=1):
+        stages += [f"t = x + {c!r} * h",
+                   f"w = u + ({total(row, 'u')}) * h",
+                   f"k{s}u = v + ({total(row, 'v')}) * h",
+                   *rhs("t", "w", f"k{s}v")]
+    new_point = [f"u_new = u + h * ({total(_B, 'u')})",
+                 f"k{last}u = v_new = v + h * ({total(_B, 'v')})",
+                 "t = x + h",
+                 *rhs("t", "u_new", f"k{last}v")]
+    source = _LEG_SOURCE.format(
+        rhs_at_a="\n    ".join(rhs("x", "u", "k0v", in_step=False)),
+        rhs_at_probe="\n    ".join(rhs("t", "w", "gv", in_step=False)),
+        stages="\n            ".join(stages),
+        new_point="\n            ".join(new_point),
+        e5u=total(_E5, "u"), e5v=total(_E5, "v"),
+        e3u=total(_E3, "u"), e3v=total(_E3, "v"),
+        last=last, nfev_per_step=last, max_steps=_MAX_STEPS,
+        safety=repr(_SAFETY), min_factor=repr(_MIN_FACTOR),
+        max_factor=repr(_MAX_FACTOR), exponent=repr(_EXPONENT))
+    namespace = {"sqrt": math.sqrt, "nextafter": math.nextafter,
+                 "SQRT2": math.sqrt(2.0), "inf": math.inf,
+                 "nan": math.nan, "failed": _failed}
+    exec(compile(source, "<DOP853 leg>", "exec"), namespace)
+    return namespace["leg"]
 
 
 def find_eigenvalue(problem: TransmissionProblem,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transeig import cli
+from transeig import cli, convergence
 from transeig.fdcore import fd_solve
 from transeig.model import BranchId, load_problem
 from transeig.residual import count_interior_zeros
@@ -154,6 +154,22 @@ def test_solve_refuses_branch_flags_without_a_family(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,record", [
+    (["--family", "II", "--n", "2"], None),
+    ([], {"family": "II", "n": 2}),
+], ids=["family-flag", "file-record"])
+def test_solve_refuses_sign_for_family_two(tmp_path, capsys, flags, record):
+    # a family II branch has no sign: --sign must not be dropped silently
+    prob = write_free_problem(tmp_path, branch=record)
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--problem", str(prob), *flags, "--sign", "-",
+                     "--rank", "1", "--mesh", "64", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --sign applies to family I branches only; II_2 has no sign\n")
+    assert not out.exists()
+
+
 def test_solve_without_branch_flags_or_record_solves_the_lowest(tmp_path):
     prob = write_free_problem(tmp_path)
     out = tmp_path / "out"
@@ -184,6 +200,27 @@ def test_sweep_outputs_and_log_table(tmp_path):
     lines = (out / "log_table.csv").read_text().strip().splitlines()
     assert lines[0].startswith("m,")
     assert len(lines) == 4  # header plus ranks 0..2
+
+
+def test_a_sweep_computes_the_radius_once(tmp_path, monkeypatch):
+    # R depends on the problem only; each branch's JSON still reports it
+    radii = []
+    real = convergence.branch_point_radius
+
+    def counted(q_norm, nbar):
+        radii.append(real(q_norm, nbar))
+        return radii[-1]
+
+    monkeypatch.setattr(convergence, "branch_point_radius", counted)
+    monkeypatch.setattr(cli, "branch_point_radius", counted)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--problem", str(EX1), "--first", "6",
+                     "--rank", "1", "--mesh", "64", "--out", str(out)]) == 0
+    assert len(radii) == 1
+    for path in sorted(out.glob("*.json")):
+        conv = json.loads(path.read_text())["convergence"]
+        assert conv["radius"] == radii[0]
+    assert len(list(out.glob("*.json"))) == 6
 
 
 @pytest.mark.parametrize("problem", [EX1, EX2],

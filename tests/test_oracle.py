@@ -103,10 +103,151 @@ def test_oracle_handles_nonlinearity():
     assert lam == pytest.approx(sol.lambda_total, abs=1e-6)
 
 
+# The frozen reference: the oracle's DOP853 driver, its generated step and
+# shoot's float right-hand side as they were before the oracle generated
+# whole legs. reference_dop853 is solve_ivp's algorithm written by hand;
+# the generated leg must reproduce it bit for bit.
+
+def generate_reference_step():
+    """One DOP853 step as straight-line code, generated from the tableau.
+
+    step(f, x, h, u, v, fu, fv) makes the 12 f calls of a step from (u, v)
+    at x with f(x, u, v) = (fu, fv) and returns the new state, f at the new
+    point and the E5 and E3 error sums: u_new, v_new, fu_new, fv_new, e5u,
+    e5v, e3u, e3v. Stage j is (k{j}u, k{j}v), stage 0 (fu, fv). Each sum is
+    written 0.0 + c * k_j + ..., left to right over the tableau's pairs, so
+    it rounds as the loop "s = 0.0; s += c * k_j" does.
+    """
+    def total(pairs, part):
+        return " + ".join(["0.0"] + [f"{coef!r} * k{j}{part}"
+                                     for j, coef in pairs])
+
+    last = len(oracle._A) + 1
+    lines = ["def step(f, x, h, u, v, fu, fv):", "    k0u, k0v = fu, fv"]
+    for s, (row, c) in enumerate(zip(oracle._A, oracle._C), start=1):
+        lines.append(f"    k{s}u, k{s}v = f(x + {c!r} * h, "
+                     f"u + ({total(row, 'u')}) * h, "
+                     f"v + ({total(row, 'v')}) * h)")
+    lines += [f"    u_new = u + h * ({total(oracle._B, 'u')})",
+              f"    v_new = v + h * ({total(oracle._B, 'v')})",
+              f"    k{last}u, k{last}v = f(x + h, u_new, v_new)",
+              f"    return (u_new, v_new, k{last}u, k{last}v,",
+              f"            {total(oracle._E5, 'u')},",
+              f"            {total(oracle._E5, 'v')},",
+              f"            {total(oracle._E3, 'u')},",
+              f"            {total(oracle._E3, 'v')})"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<DOP853 step>", "exec"), namespace)
+    return namespace["step"]
+
+
+REFERENCE_STEP = generate_reference_step()
+
+
+def rms(p, q):
+    """solve_ivp's RMS norm of a 2-vector, by products that overflow to inf."""
+    return math.sqrt(p * p + q * q) / math.sqrt(2.0)
+
+
+def reference_dop853(f, a, b, y0, rtol, atol, step=REFERENCE_STEP):
+    """Integrate (u, v)' = f(x, u, v) from a to b > a with DOP853.
+
+    solve_ivp(method="DOP853")'s algorithm on Python floats: its tableau,
+    initial step, RMS error norm and step control, with no max_step.
+    Returns the accepted nodes and states, starting at a and ending at b,
+    and the number of f calls; step is one DOP853 step, called as
+    REFERENCE_STEP. Overflow shows up as inf or nan, which the error norm
+    rejects until the step is too small, so it raises the same ValueError
+    as a stiff problem; so does a leg that needs more than _MAX_STEPS
+    steps, where solve_ivp would step on for ever.
+    """
+    x, (u, v) = a, y0
+    fu, fv = f(x, u, v)
+    # select_initial_step
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = rms(u / su, v / sv), rms(fu / su, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, b - a)
+    gu, gv = f(a + h0, u + h0 * fu, v + h0 * fv)
+    d2 = rms((gu - fu) / su, (gv - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    h_abs = min(100 * h0, h1, b - a)
+    nfev = 2
+    xs, us, vs = [x], [u], [v]
+    while x < b:
+        if len(xs) > oracle._MAX_STEPS:
+            raise ValueError(f"integration failed on [{a}, {b}]: more than "
+                             f"{oracle._MAX_STEPS} steps.")
+        min_step = 10 * (math.nextafter(x, math.inf) - x)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise ValueError(f"integration failed on [{a}, {b}]: "
+                                 "Required step size is less than spacing "
+                                 "between numbers.")
+            x_new = min(x + h_abs, b)
+            h = x_new - x
+            (u_new, v_new, fu_new, fv_new,
+             e5u, e5v, e3u, e3v) = step(f, x, h, u, v, fu, fv)
+            nfev += 12
+            su = atol + max(abs(u), abs(u_new)) * rtol
+            sv = atol + max(abs(v), abs(v_new)) * rtol
+            p, r = e5u / su, e5v / sv
+            err5 = p * p + r * r
+            p, r = e3u / su, e3v / sv
+            denom = err5 + 0.01 * (p * p + r * r)
+            error_norm = h * err5 / math.sqrt(denom * 2) if denom else 0.0
+            if error_norm < 1:
+                factor = (oracle._MAX_FACTOR if error_norm == 0 else
+                          min(oracle._MAX_FACTOR,
+                              oracle._SAFETY * error_norm ** oracle._EXPONENT))
+                if rejected:
+                    factor = min(1, factor)
+                h_abs = h * factor
+                break
+            h_abs = h * max(oracle._MIN_FACTOR,
+                            oracle._SAFETY * error_norm ** oracle._EXPONENT)
+            rejected = True
+        x, u, v, fu, fv = x_new, u_new, v_new, fu_new, fv_new
+        xs.append(x)
+        us.append(u)
+        vs.append(v)
+    return xs, us, vs, nfev
+
+
+def float_rhs(problem, lam):
+    """shoot's former right-hand side: model.horner inlined on Python floats.
+
+    The operands and order of PotentialSpec/NonlinearitySpec.__call__,
+    without a 0-d numpy array or a function call per polynomial.
+    """
+    q = problem.potential
+    poly = tuple(reversed(q.coeffs)) if q.kind == "polynomial" else None
+    n = tuple(reversed((0.0,) + problem.nonlinearity.coeffs))
+
+    def rhs(x, u, du):
+        if poly is None:
+            qx = float(q(x))
+        else:
+            qx = 0.0
+            for c in poly:
+                qx = qx * x + c
+        nu = 0.0
+        for c in n:
+            nu = nu * u + c
+        return du, (qx - lam) * u + nu
+
+    return rhs
+
+
 def array_rhs(problem, lam):
     """(u, u')' with q and N evaluated through their __call__ on 0-d arrays.
 
-    The right-hand side the float one has to reproduce bit for bit.
+    The right-hand side the generated one has to reproduce bit for bit.
     """
     q, nl = problem.potential, problem.nonlinearity
 
@@ -117,7 +258,7 @@ def array_rhs(problem, lam):
 
 
 def by_dop853(rhs, a, b, state, tol):
-    return oracle._dop853(rhs, a, b, state, rtol=tol, atol=tol * 1e-3)
+    return reference_dop853(rhs, a, b, state, rtol=tol, atol=tol * 1e-3)
 
 
 def by_solve_ivp(rhs, a, b, state, tol):
@@ -128,13 +269,12 @@ def by_solve_ivp(rhs, a, b, state, tol):
     return sol.t, sol.y[0], sol.y[1], sol.nfev
 
 
-def shoot_with(integrate, problem, lam, tol):
-    """shoot's two legs and unit slope jump on the array rhs.
+def shoot_with(integrate, rhs, tol):
+    """shoot's two legs and unit slope jump on a right-hand side.
 
     integrate(rhs, a, b, state, tol) runs one leg and returns its nodes,
     u, u' and number of rhs calls.
     """
-    rhs = array_rhs(problem, lam)
     legs = []
     state = (0.0, SLOPE_AT_ZERO)
     for a, b in ((0.0, INTERFACE), (INTERFACE, 1.0)):
@@ -146,21 +286,38 @@ def shoot_with(integrate, problem, lam, tol):
                              nfev=sum(nfev))
 
 
+def shoot_by_reference(problem, lam, tol=1e-10):
+    """The former shoot: the float rhs on the reference DOP853 loop."""
+    return shoot_with(by_dop853, float_rhs(problem, lam), tol)
+
+
 def shoot_by_arrays(problem, lam, tol=1e-10):
-    """shoot with the array rhs, on the same float DOP853 loop."""
-    return shoot_with(by_dop853, problem, lam, tol)
+    """shoot with the array rhs, on the reference DOP853 loop."""
+    return shoot_with(by_dop853, array_rhs(problem, lam), tol)
 
 
 def shoot_by_solve_ivp(problem, lam, tol=1e-10):
-    """The reference: the array rhs on solve_ivp(method="DOP853")."""
-    return shoot_with(by_solve_ivp, problem, lam, tol)
+    """The array rhs on solve_ivp(method="DOP853")."""
+    return shoot_with(by_solve_ivp, array_rhs(problem, lam), tol)
 
 
 def assert_same_shot(got, want):
-    assert got.miss == want.miss
+    assert np.float64(got.miss).tobytes() == np.float64(want.miss).tobytes()
     assert got.nfev == want.nfev
     for name in ("x", "u", "du"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def assert_shoots_alike(problem, lam, tol, reference):
+    """shoot gives reference's shot, or fails in the same words."""
+    try:
+        want = reference(problem, lam, tol)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got_exc:
+            shoot(problem, lam, tol)
+        assert str(got_exc.value) == str(exc)
+        return
+    assert_same_shot(shoot(problem, lam, tol), want)
 
 
 @given(q=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
@@ -171,15 +328,20 @@ def assert_same_shot(got, want):
 def test_float_rhs_shoots_as_the_array_rhs(q, n, lam):
     problem = TransmissionProblem(PotentialSpec.polynomial(q),
                                   NonlinearitySpec(tuple(n)))
-    try:
-        want = shoot_by_arrays(problem, lam)
-    except ValueError as exc:
-        # a blow-up on the same loop: shoot must give up in the same words
-        with pytest.raises(ValueError) as got_exc:
-            shoot(problem, lam)
-        assert str(got_exc.value) == str(exc)
-        return
-    assert_same_shot(shoot(problem, lam), want)
+    # a blow-up on the same loop: shoot must give up in the same words
+    assert_shoots_alike(problem, lam, 1e-10, shoot_by_arrays)
+
+
+@given(q=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+       n=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=3),
+       lam=st.floats(5.0, 400.0), tol=st.sampled_from([1e-10, 1e-13]))
+@example(q=[14.0], n=[3.0, 2.0, 3.0], lam=5.0, tol=1e-10)
+@example(q=[0.0, 1.0, 3.0], n=[0.0, 1.0], lam=20.0, tol=1e-13)
+@settings(max_examples=40, deadline=None)
+def test_generated_leg_shoots_as_the_reference(q, n, lam, tol):
+    problem = TransmissionProblem(PotentialSpec.polynomial(q),
+                                  NonlinearitySpec(tuple(n)))
+    assert_shoots_alike(problem, lam, tol, shoot_by_reference)
 
 
 def test_tabulated_potential_shoots_as_the_array_rhs():
@@ -188,6 +350,22 @@ def test_tabulated_potential_shoots_as_the_array_rhs():
     for lam in (12.0, 87.5):
         assert_same_shot(shoot(problem, lam, tol=1e-12),
                          shoot_by_arrays(problem, lam, tol=1e-12))
+        assert_same_shot(shoot(problem, lam, tol=1e-12),
+                         shoot_by_reference(problem, lam, tol=1e-12))
+
+
+def test_the_leg_cache_is_bounded():
+    size = oracle._leg.cache_info().maxsize
+    assert size is not None
+    oracle._leg.cache_clear()
+    for c in range(size + 3):
+        shoot(TransmissionProblem(PotentialSpec.polynomial([float(c)])), 30.0)
+    info = oracle._leg.cache_info()
+    assert info.currsize == size and info.misses == size + 3
+    # a second shot of a problem reuses its leg
+    shoot(TransmissionProblem(PotentialSpec.polynomial([float(size + 2)])),
+          40.0)
+    assert oracle._leg.cache_info().hits == info.hits + 1
 
 
 @pytest.fixture
@@ -360,8 +538,9 @@ def dot(pairs, ku, kv):
 def step_by_loop(f, x, h, u, v, fu, fv):
     """One DOP853 step as a loop over the tableau's pairs.
 
-    The reference for the generated oracle._step: the same stages and sums,
-    each summed from 0.0 in stage order.
+    The stage-loop reference for the generated leg, called as
+    REFERENCE_STEP: the same stages and sums, each summed from 0.0 in
+    stage order.
     """
     ku, kv = [fu], [fv]
     for row, c in zip(oracle._A, oracle._C):
@@ -378,54 +557,111 @@ def step_by_loop(f, x, h, u, v, fu, fv):
             *dot(oracle._E3, ku, kv))
 
 
-def polynomial_rhs(q, n, lam):
-    """shoot's right-hand side for the polynomials q and N, by model.horner."""
+def spec_rhs(potential, n, lam):
+    """The right-hand side for q = potential and N = n: a polynomial q by
+    model.horner on floats, a tabulated one through its one call."""
     n = (0.0,) + tuple(n)
-    return lambda x, u, du: (du, (horner(q, x) - lam) * u + horner(n, u))
+    if potential.kind == "polynomial":
+        return lambda x, u, du: (du, (horner(potential.coeffs, x) - lam) * u
+                                 + horner(n, u))
+    return lambda x, u, du: (du, (float(potential(x)) - lam) * u
+                             + horner(n, u))
+
+
+def potential_of(q, tabulated):
+    """The polynomial q, or the same values as a tabulated potential."""
+    if tabulated:
+        return PotentialSpec.tabulated(lambda x: horner(q, x))
+    return PotentialSpec.polynomial(q)
+
+
+def generated_leg(potential, n, lam, a, b, u, v, tol):
+    """One leg of the oracle's generated code for q = potential and N = n."""
+    coeffs = potential.coeffs if potential.kind == "polynomial" else None
+    leg = oracle._leg(coeffs, tuple(float(c) for c in n))
+    return leg(potential, lam, a, b, u, v, tol, tol * 1e-3)
+
+
+def leg_bits(run):
+    """The bits of run()'s nodes, states and nfev, or its error text."""
+    try:
+        xs, us, vs, nfev = run()
+    except ValueError as exc:
+        return str(exc)
+    return bits(xs), bits(us), bits(vs), nfev
 
 
 def bits(values):
     return ["nan" if math.isnan(value) else value.hex() for value in values]
 
 
-# A step of u' = v, v' = u**6 - u on which only f at the new point
-# overflows: every stage is finite, v' is inf at (u_new, v_new)
-LAST_STAGE_OVERFLOWS = dict(x=0.0, h=0.5, u=1.8954324985587818, v=1.0,
-                            fu=1.0, fv=44.475938456998904, q=[0.0],
-                            n=[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], lam=1.0)
+# A leg of u' = v, v' = u**10 - u whose first step overflows only at the
+# new point: every stage and the new state are finite, v' there is inf
+LAST_STAGE_OVERFLOWS = dict(a=0.0, length=0.5, u=1.5, v=10.0, q=[0.0],
+                            n=[0.0] * 9 + [1.0], lam=1.0, tol=1e-3,
+                            tabulated=True)
 
 
-@given(x=st.floats(0.0, 1.0), h=st.floats(0.0, 1.0, exclude_min=True),
+@given(a=st.floats(0.0, 0.9), length=st.floats(1e-3, 0.5),
        u=st.floats(-1e3, 1e3), v=st.floats(-1e3, 1e3),
-       fu=st.floats(-1e3, 1e3), fv=st.floats(-1e3, 1e3),
        q=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
        n=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=6),
-       lam=st.floats(5.0, 400.0))
+       lam=st.floats(5.0, 400.0), tol=st.sampled_from([1e-10, 1e-13]),
+       tabulated=st.booleans())
 @example(**LAST_STAGE_OVERFLOWS)
 @settings(max_examples=200, deadline=None)
-def test_generated_step_sums_as_the_stage_loop(x, h, u, v, fu, fv, q, n, lam):
-    f = polynomial_rhs(q, n, lam)
-    got = oracle._step(f, x, h, u, v, fu, fv)
-    assert bits(got) == bits(step_by_loop(f, x, h, u, v, fu, fv))
-    # E5 weighs f at the new point by 0.0: a non-finite value there makes
-    # the error sum nan, which rejects the step
-    for f_new, e5 in zip(got[2:4], got[4:6]):
-        assert math.isfinite(f_new) or math.isnan(e5)
+def test_generated_step_sums_as_the_stage_loop(a, length, u, v, q, n, lam,
+                                              tol, tabulated):
+    # shoot never starts a leg at -0.0, which `+ 0.0` maps to 0.0; the leg
+    # drops terms that could change only the sign of such a zero
+    u, v, b = u + 0.0, v + 0.0, a + length
+    potential = potential_of(q, tabulated)
+    want = leg_bits(lambda: reference_dop853(
+        spec_rhs(potential, n, lam), a, b, (u, v), tol, tol * 1e-3,
+        step=step_by_loop))
+    assert leg_bits(lambda: generated_leg(potential, n, lam, a, b, u, v,
+                                          tol)) == want
 
 
 def test_a_last_stage_overflow_makes_the_error_sum_nan():
     args = dict(LAST_STAGE_OVERFLOWS)
-    f = polynomial_rhs(args.pop("q"), args.pop("n"), args.pop("lam"))
-    values = []
+    q, n, lam = args.pop("q"), args.pop("n"), args.pop("lam")
+    a, tol = args.pop("a"), args.pop("tol")
+    b = a + args.pop("length")
+    start = (args.pop("u"), args.pop("v"))
+    # q is tabulated, so each leg reports the points it evaluates q at
+    points = []
+    potential = PotentialSpec.tabulated(
+        lambda x: points.append(float(x)) or horner(q, x))
+    f = spec_rhs(potential, n, lam)
+    steps = []
 
-    def recorded(*point):
-        values.append(f(*point))
-        return values[-1]
+    def recorded_step(f, *point):
+        values = []
 
-    u_new, v_new, _, fv_new, _, e5v, _, _ = oracle._step(recorded, **args)
-    # the 11 stages and the new state are finite, f at the new point is not
+        def recorded(*args):
+            values.append(f(*args))
+            return values[-1]
+
+        steps.append((values, step_by_loop(recorded, *point)))
+        return steps[-1][1]
+
+    with pytest.raises(ValueError) as want:
+        reference_dop853(f, a, b, start, tol, tol * 1e-3, step=recorded_step)
+    values, (u_new, v_new, _, fv_new, _, e5v, _, _) = steps[0]
+    # the 11 stages and the new state of the first step are finite, f at
+    # the new point is not, and E5 weighs it by 0.0: the error sum is nan
     assert np.isfinite(values[:-1]).all() and np.isfinite([u_new, v_new]).all()
     assert fv_new == math.inf and math.isnan(e5v)
+    # so the step is rejected: after the two evaluations of the initial
+    # step, the next try ends short of where the first one did
+    assert points[2 + 12 + 11] < points[2 + 11]
+    want_points = points[:]
+    points.clear()
+    with pytest.raises(ValueError) as got:
+        generated_leg(potential, n, lam, a, b, *start, tol)
+    assert str(got.value) == str(want.value)
+    assert bits(points) == bits(want_points)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
