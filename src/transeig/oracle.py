@@ -17,7 +17,8 @@ one per stage), no loop, no list and no numpy array, and nothing outlives
 a shot. The root finder is a port of scipy's brentq, so the module
 imports nothing from scipy. Only smooth potentials are supported; the
 fixed slope at the origin removes the scaling freedom, so lambda is the
-single unknown."""
+single unknown.
+"""
 
 from __future__ import annotations
 
@@ -133,14 +134,13 @@ _E3 = ((0, -0.18980075407240762), (5, 4.450312892752409),
 
 # One leg of solve_ivp(method="DOP853") on Python floats: its initial step
 # (select_initial_step), RMS error norm and step control, with no max_step.
-# In a step, min(p, b) and max(p, r) are written as the comparisons they
-# make, which saves the calls.
 # _leg fills in the stages, the new point and the error sums from the
 # tableau, and the right-hand side at a and at the initial step's probe.
-# Overflow shows up as inf or nan, which the error norm rejects until the
-# step is too small, so it raises the same ValueError as a stiff problem;
-# so does a leg that needs more than _MAX_STEPS steps, where solve_ivp
-# would step on for ever.
+# Inside the step loop min and max are written as the comparisons they
+# make, which saves the calls. Overflow shows up as inf or nan, which the
+# error norm rejects until the step is too small, so it raises the same
+# ValueError as a stiff problem; so does a leg that needs more than
+# _MAX_STEPS steps, where solve_ivp would step on for ever.
 _LEG_SOURCE = """\
 def leg(q, lam, a, b, u, v, rtol, atol):
     x, k0u = a, v

@@ -568,13 +568,6 @@ def spec_rhs(potential, n, lam):
                              + horner(n, u))
 
 
-def potential_of(q, tabulated):
-    """The polynomial q, or the same values as a tabulated potential."""
-    if tabulated:
-        return PotentialSpec.tabulated(lambda x: horner(q, x))
-    return PotentialSpec.polynomial(q)
-
-
 def generated_leg(potential, n, lam, a, b, u, v, tol):
     """One leg of the oracle's generated code for q = potential and N = n."""
     coeffs = potential.coeffs if potential.kind == "polynomial" else None
@@ -615,7 +608,8 @@ def test_generated_step_sums_as_the_stage_loop(a, length, u, v, q, n, lam,
     # shoot never starts a leg at -0.0, which `+ 0.0` maps to 0.0; the leg
     # drops terms that could change only the sign of such a zero
     u, v, b = u + 0.0, v + 0.0, a + length
-    potential = potential_of(q, tabulated)
+    potential = (PotentialSpec.tabulated(lambda x: horner(q, x)) if tabulated
+                 else PotentialSpec.polynomial(q))
     want = leg_bits(lambda: reference_dop853(
         spec_rhs(potential, n, lam), a, b, (u, v), tol, tol * 1e-3,
         step=step_by_loop))
