@@ -45,8 +45,6 @@ def zero_eigenvalue(branch: BranchId) -> float:
     if branch.family == "I":
         base = branch.sign * (2.0 / 3.0) + 2.0 * branch.n
         return 4.0 * math.pi ** 2 * base * base
-    if branch.n < 1:
-        raise ModelError("family II starts at n = 1")
     return 4.0 * math.pi ** 2 * branch.n * branch.n
 
 

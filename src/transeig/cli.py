@@ -54,27 +54,24 @@ def _json_safe(value):
 
 def _resolve_branch(args: argparse.Namespace,
                     file_branch: BranchId | None) -> BranchId:
-    sign = None
-    if args.sign is not None:
-        sign = -1 if args.sign == "-" else 1
-    if args.family in ("I", "II"):
-        n = args.n if args.n is not None else (0 if args.family == "I" else 1)
-        branch = BranchId(family=args.family, n=n, sign=sign or 1)
+    """--family's first branch, else the file's record, else I+0 (which
+    --n and --sign cannot refine), refined by --n and --sign."""
+    if args.family != "auto":
+        base = BranchId(args.family, 0 if args.family == "I" else 1)
     elif file_branch is not None:
-        branch = BranchId(family=file_branch.family,
-                          n=args.n if args.n is not None else file_branch.n,
-                          sign=sign if sign is not None else file_branch.sign)
+        base = file_branch
     else:
-        given = [flag for flag, value in (("--n", args.n),
-                                          ("--sign", args.sign))
-                 if value is not None]
+        given = [flag for flag in ("--n", "--sign")
+                 if getattr(args, flag[2:]) is not None]
         if given:
             raise ModelError("without --family or a branch record in the "
                              f"problem file, {' and '.join(given)} cannot "
                              "select a branch")
-        return ascending_branches(1)[0]
+        base = BranchId("I", 0)
+    sign = {None: base.sign, "+": 1, "-": -1}[args.sign]
+    branch = BranchId(base.family, base.n if args.n is None else args.n, sign)
     # BranchId drops the sign of a family II branch, so --sign would be lost
-    if sign is not None and branch.family == "II":
+    if args.sign is not None and branch.family == "II":
         raise ModelError(f"--sign applies to family I branches only; "
                          f"{branch.tag} has no sign")
     return branch
@@ -175,19 +172,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         payloads = [task(b) for b in branches]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    norms = {}
-    for index, payload in enumerate(payloads):
+    for payload in payloads:
         _write_branch_files(out, payload)
-        for m, norm in enumerate(payload["norms"]):
-            norms[index, m] = norm
-    matrix, n_labels, m_labels = log_table(norms)
-    lines = ["m," + ",".join(payloads[i]["tag"] for i in n_labels)]
-    for row, m in enumerate(m_labels):
-        lines.append(f"{m}," + ",".join(_fmt(v) for v in matrix[row]))
+        print(f"{payload['tag']}: lambda = {_fmt(payload['lambda'])}")
+    matrix = log_table([p["norms"] for p in payloads])
+    lines = ["m," + ",".join(p["tag"] for p in payloads)]
+    for m, row in enumerate(matrix):
+        lines.append(f"{m}," + ",".join(map(_fmt, row)))
     (out / "log_table.csv").write_text("\n".join(lines) + "\n",
                                        encoding="utf-8")
-    for payload in payloads:
-        print(f"{payload['tag']}: lambda = {_fmt(payload['lambda'])}")
     print(f"wrote {len(payloads)} branch files and log_table.csv to {out}")
     return 0
 

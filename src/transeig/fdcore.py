@@ -266,9 +266,6 @@ class _Frame:
         w = self.omega
         if self.branch.family == "I":
             sh, ch = math.sin(w / 2.0), math.cos(w / 2.0)
-            if abs(sh) < 1e-8:
-                raise FdError("family I amplitude rule hit sin(omega/2) = 0; "
-                              "branch data is inconsistent")
             return (sh * cf - ch * sf) / (w * sh)
         return -cf / w
 

@@ -155,7 +155,7 @@ def leg(q, lam, a, b, u, v, rtol, atol):
     t, w, gu = a + h0, u + h0 * k0u, v + h0 * k0v
     {rhs_at_probe}
     p, r = (gu - k0u) / su, (gv - k0v) / sv
-    d2 = sqrt(p * p + r * r) / SQRT2 / h0
+    d2 = div(sqrt(p * p + r * r) / SQRT2, h0)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -299,7 +299,7 @@ def _leg(q_coeffs: tuple[float, ...] | None,
         max_factor=repr(_MAX_FACTOR), exponent=repr(_EXPONENT))
     namespace = {"sqrt": math.sqrt, "nextafter": math.nextafter,
                  "SQRT2": math.sqrt(2.0), "inf": math.inf,
-                 "nan": math.nan, "failed": _failed}
+                 "nan": math.nan, "failed": _failed, "div": _div}
     exec(compile(source, "<DOP853 leg>", "exec"), namespace)
     return namespace["leg"]
 
@@ -307,30 +307,19 @@ def _leg(q_coeffs: tuple[float, ...] | None,
 def find_eigenvalue(problem: TransmissionProblem,
                     bracket: tuple[float, float],
                     tol: float = 1e-12) -> float:
-    """Root of the miss function on the bracket."""
+    """Root of the miss function on the bracket, by brentq; misses of one
+    sign at both ends raise ValueError naming the bracket."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     _check_tol(tol)
     shot_tol = max(tol, 1e-13)
-
-    shots: dict[float, float] = {}
-
-    def miss(lam: float) -> float:
-        # brentq starts from the two bracket ends the sign check has shot
-        if lam not in shots:
-            shots[lam] = shoot(problem, lam, tol=shot_tol).miss
-        return shots[lam]
-
-    f_lo, f_hi = miss(lo), miss(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
+    try:
+        return _brentq(lambda lam: shoot(problem, lam, tol=shot_tol).miss,
+                       lo, hi, xtol=tol)
+    except _NoSignChange:
         raise ValueError(f"the shooting value u(1) does not change sign "
-                         f"on [{lo}, {hi}]")
-    return _brentq(miss, lo, hi, xtol=tol)
+                         f"on [{lo}, {hi}]") from None
 
 
 def _check_tol(tol: float) -> None:
@@ -344,14 +333,18 @@ _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
+class _NoSignChange(ValueError):
+    """brentq's error for bracket ends whose f values share a sign."""
+
+
 def _brentq(f, xa, xb, xtol):
     """Brent's root finder (Brent, Algorithms for Minimization without
     Derivatives, 1973, ch. 4), ported line for line from scipy's brentq.c.
 
     The same iterates and f calls as scipy.optimize.brentq(f, xa, xb,
     xtol=xtol), and the same errors: ValueError for xtol <= 0, a nan f
-    value or no sign change, RuntimeError when 100 iterations do not
-    converge.
+    value or no sign change (as _NoSignChange), RuntimeError when 100
+    iterations do not converge.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -371,7 +364,7 @@ def _brentq(f, xa, xb, xtol):
     if fcur == 0:
         return xcur
     if _signbit(fpre) == _signbit(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise _NoSignChange("f(a) and f(b) must have different signs")
     for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
@@ -422,6 +415,8 @@ def _div(n: float, d: float) -> float:
 
     brentq.c divides by products of tiny f values that can underflow to 0;
     the inf or nan step then fails the short-step test and Brent bisects.
+    A leg's initial step divides by h0, which is 0 where f overflows at
+    the leg's start, as solve_ivp's numpy division does.
     """
     if d != 0:
         return n / d

@@ -74,8 +74,12 @@ def _finish(kind: str, rank: int, nu: np.ndarray) -> ResidualReport:
     """Report from the residual nu, a panel array, which it overwrites."""
     norms = np.abs(nu, out=nu).max(axis=-1)
     combined = float(norms.max())  # NaN in either panel propagates
-    log_value = -math.inf if combined == 0.0 else math.log(combined)
-    return ResidualReport(kind, rank, *map(float, norms), combined, log_value)
+    return ResidualReport(kind, rank, *map(float, norms), combined,
+                          _log(combined))
+
+
+def _log(norm: float) -> float:
+    return -math.inf if norm == 0.0 else math.log(norm)
 
 
 def _pointwise(sol: FdSolution, t: _Totals) -> ResidualReport:
@@ -167,21 +171,9 @@ def count_interior_zeros(u: GridFunction, tol: float | None = None) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0.0))
 
 
-def log_table(reports: dict) -> tuple[np.ndarray, list[int], list[int]]:
-    """Matrix of log residual norms keyed by (eigenvalue index, rank).
-
-    reports maps (n, m) to a ResidualReport or a bare norm. Returns the
-    matrix with one row per rank and one column per index, plus the sorted
-    index and rank labels.
-    """
-    values = {}
-    for (n, m), entry in reports.items():
-        norm = entry.combined if isinstance(entry, ResidualReport) else float(entry)
-        values[int(n), int(m)] = norm
-    ns = sorted({n for n, _ in values})
-    ms = sorted({m for _, m in values})
-    mat = np.full((len(ms), len(ns)), np.nan)
-    for (n, m), norm in values.items():
-        mat[ms.index(m), ns.index(n)] = (-math.inf if norm == 0.0
-                                         else math.log(norm))
-    return mat, ns, ms
+def log_table(columns) -> np.ndarray:
+    """Natural logs of residual norms, given as each branch's norms by
+    rank: one row per rank and one column per branch. Only an exact zero
+    norm reads -inf; a NaN norm stays NaN."""
+    return np.array([[_log(norm) for norm in column] for column in columns],
+                    dtype=float).T

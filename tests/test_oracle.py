@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,16 @@ def test_find_eigenvalue_needs_sign_change():
         find_eigenvalue(FREE, (1.0, 5.0))
     with pytest.raises(ValueError):
         find_eigenvalue(FREE, (5.0, 1.0))
+
+
+def test_tiny_misses_of_one_sign_name_the_bracket(monkeypatch):
+    # the product of the two misses underflows to 0; their signs still agree
+    empty = np.empty(0)
+    monkeypatch.setattr(oracle, "shoot", lambda problem, lam, tol=1e-10:
+                        oracle.ShotResult(1e-200, empty, empty, empty, 0))
+    with pytest.raises(ValueError,
+                       match=re.escape("does not change sign on [1.0, 5.0]")):
+        find_eigenvalue(FREE, (1.0, 5.0))
 
 
 def test_find_eigenvalue_tolerance_stability():
@@ -586,6 +597,23 @@ def leg_bits(run):
 
 def bits(values):
     return ["nan" if math.isnan(value) else value.hex() for value in values]
+
+
+def test_a_leg_that_overflows_at_its_start_fails_as_solve_ivp():
+    # f = (0, 1e300) at the start: d1 is inf, so the initial step h0 is 0
+    problem = TransmissionProblem(PotentialSpec.polynomial([0.0]),
+                                  NonlinearitySpec((1e300,)))
+    with warnings.catch_warnings():
+        # solve_ivp warns on the overflow, which pyproject makes an error
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError) as want:
+            by_solve_ivp(array_rhs(problem, 0.0), 0.5, 1.0, (1.0, 0.0), 1e-10)
+    leg = oracle._leg((0.0,), (1e300,))
+    with pytest.raises(ValueError) as got:
+        leg(None, 0.0, 0.5, 1.0, 1.0, 0.0, 1e-10, 1e-13)
+    assert str(got.value) == str(want.value) == (
+        "integration failed on [0.5, 1.0]: Required step size is less than "
+        "spacing between numbers.")
 
 
 # A leg of u' = v, v' = u**10 - u whose first step overflows only at the

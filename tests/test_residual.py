@@ -117,10 +117,8 @@ def test_count_zeros_refuses_a_tolerance_that_is_not_finite_non_negative():
 
 
 def test_log_table_layout():
-    reports = {(0, 0): 1.0, (0, 1): math.exp(-3.0),
-               (2, 0): math.exp(2.0), (2, 1): 1e-300}
-    mat, ns, ms = log_table(reports)
-    assert ns == [0, 2] and ms == [0, 1]
+    columns = [[1.0, math.exp(-3.0)], [math.exp(2.0), 1e-300]]
+    mat = log_table(columns)
     assert mat.shape == (2, 2)
     assert mat[0, 0] == 0.0
     assert mat[1, 0] == pytest.approx(-3.0)
@@ -134,16 +132,17 @@ def test_a_nan_norm_is_not_an_exact_solution():
         rep = _finish("pointwise", 1, np.array(nu))
         assert math.isnan(rep.combined) and math.isnan(rep.log_value)
     assert _finish("pointwise", 0, np.zeros((2, 3))).log_value == -math.inf
-    mat, _, _ = log_table({(0, 0): math.nan, (1, 0): 0.0, (2, 0): math.inf})
+    mat = log_table([[math.nan], [0.0], [math.inf]])
     assert math.isnan(mat[0, 0])
     assert mat[0, 1] == -math.inf and mat[0, 2] == math.inf
 
 
-def test_log_table_accepts_reports():
-    sol = fd_solve(EX1, B0, rank=1, mesh=64)
-    rep = residual_report(sol)
-    mat, ns, ms = log_table({(0, 1): rep})
-    assert mat[0, 0] == pytest.approx(rep.log_value)
+def test_log_table_cells_are_the_reports_log_values():
+    sol = fd_solve(EX1, B0, rank=3, mesh=64)
+    reports = residual_by_rank(sol)
+    mat = log_table([[r.combined for r in reports]])
+    assert mat.shape == (4, 1)
+    assert mat[:, 0].tolist() == [r.log_value for r in reports]
 
 
 def test_report_fields_consistent():
