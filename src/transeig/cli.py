@@ -52,31 +52,6 @@ def _json_safe(value):
     return value
 
 
-def _resolve_branch(args: argparse.Namespace,
-                    file_branch: BranchId | None) -> BranchId:
-    """--family's first branch, else the file's record, else I+0 (which
-    --n and --sign cannot refine), refined by --n and --sign."""
-    if args.family != "auto":
-        base = BranchId(args.family, 0 if args.family == "I" else 1)
-    elif file_branch is not None:
-        base = file_branch
-    else:
-        given = [flag for flag in ("--n", "--sign")
-                 if getattr(args, flag[2:]) is not None]
-        if given:
-            raise ModelError("without --family or a branch record in the "
-                             f"problem file, {' and '.join(given)} cannot "
-                             "select a branch")
-        base = BranchId("I", 0)
-    sign = {None: base.sign, "+": 1, "-": -1}[args.sign]
-    branch = BranchId(base.family, base.n if args.n is None else args.n, sign)
-    # BranchId drops the sign of a family II branch, so --sign would be lost
-    if args.sign is not None and branch.family == "II":
-        raise ModelError(f"--sign applies to family I branches only; "
-                         f"{branch.tag} has no sign")
-    return branch
-
-
 def _branch_payload(problem: TransmissionProblem, l1: float, radius: float,
                     args: argparse.Namespace, branch: BranchId) -> dict:
     """Solve one branch and render its CSV and JSON texts.
@@ -146,7 +121,8 @@ def _write_branch_files(out: Path, payload: dict) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     problem, file_branch = load_problem(args.problem)
-    branch = _resolve_branch(args, file_branch)
+    branch = ((file_branch or BranchId("I", 0)) if args.branch is None
+              else BranchId.from_tag(args.branch))
     payload = _branch_payload(problem, *_norm_and_radius(problem), args, branch)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -263,11 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a single branch")
     solve.set_defaults(run=cmd_solve)
     add_common(solve, default_rank=4)
-    solve.add_argument("--family", choices=("I", "II", "auto"),
-                       default="auto", help="branch family")
-    solve.add_argument("--sign", choices=("+", "-"), default=None,
-                       help="family I sign")
-    solve.add_argument("--n", type=int, default=None, help="branch index")
+    solve.add_argument("--branch", metavar="TAG",
+                       help="branch tag such as I_plus_0, I_minus_1 or II_3 "
+                            "(default: the problem file's record, else "
+                            "I_plus_0)")
 
     sweep = sub.add_parser("sweep", help="solve the first K branches")
     sweep.set_defaults(run=cmd_sweep)

@@ -33,10 +33,14 @@ _LOG_FLOAT_MAX = math.log(1.7e308)
 _RATIO_WINDOW = 10
 
 
-def radius_linear(q_norm: float) -> float:
-    """Radius of convergence of the majorant generating function, N absent."""
+def _check_norm(q_norm: float) -> None:
     if not 0.0 <= q_norm < math.inf:  # `not` refuses nan as well
         raise ValueError("potential norm must be finite and non-negative")
+
+
+def radius_linear(q_norm: float) -> float:
+    """Radius of convergence of the majorant generating function, N absent."""
+    _check_norm(q_norm)
     if q_norm == 0.0:
         return math.inf
     scale = 1.0 + 2.0 * V0 + 2.0 * math.sqrt(V0 * (1.0 + V0))
@@ -124,8 +128,7 @@ def majorant_sequence(q_norm: float, nbar: NonlinearitySpec | None,
     """
     if terms < 1:
         raise ValueError("need at least one term beyond the start")
-    if not 0.0 <= q_norm < math.inf:  # `not` refuses nan as well
-        raise ValueError("potential norm must be finite and non-negative")
+    _check_norm(q_norm)
     bar = None
     if nbar is not None and not nbar.is_empty:
         bar = nbar.majorant_spec()
@@ -179,8 +182,7 @@ def branch_point_radius(q_norm: float,
     exceeds R on (0, 1), so a spurious candidate cannot raise it. The
     linear case is radius_linear.
     """
-    if not 0.0 <= q_norm < math.inf:  # `not` refuses nan as well
-        raise ValueError("potential norm must be finite and non-negative")
+    _check_norm(q_norm)
     if nbar is None or nbar.is_empty:
         return radius_linear(q_norm)
     bar = nbar.majorant_spec()
@@ -264,6 +266,7 @@ def convergence_report(q_norm: float, nbar: NonlinearitySpec | None,
     given; it depends on the problem only, so a caller reporting several
     branches of one problem can compute it once.
     """
+    _check_norm(q_norm)
     if radius is None:
         radius = branch_point_radius(q_norm, nbar)
     ratio = convergence_ratio(branch, radius)

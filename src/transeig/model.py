@@ -219,6 +219,20 @@ class BranchId:
             return f"I_{word}_{self.n}"
         return f"II_{self.n}"
 
+    @staticmethod
+    def from_tag(tag: str) -> "BranchId":
+        """The branch whose .tag is tag; any other string is refused."""
+        family, _, rest = tag.partition("_")
+        word, _, n = rest.rpartition("_")
+        try:
+            branch = BranchId(family, int(n), -1 if word == "minus" else 1)
+        except ValueError:  # ModelError included
+            branch = None
+        if branch is None or branch.tag != tag:
+            raise ModelError(f"unknown branch tag {tag!r}; a tag reads "
+                             "I_plus_<n>, I_minus_<n> or II_<n>")
+        return branch
+
 
 @dataclass(frozen=True)
 class TransmissionProblem:
@@ -285,7 +299,12 @@ def _branch_from_dict(data: dict) -> BranchId:
     if type(n) is not int or type(sign) is not int:
         raise ModelError(f"branch n and sign must be JSON integers, "
                          f"got n={n!r}, sign={sign!r}")
-    return BranchId(family=family, n=n, sign=sign)
+    branch = BranchId(family=family, n=n, sign=sign)
+    # BranchId drops a family II sign, so a sign of -1 would be lost
+    if branch.family == "II" and branch.sign != sign:
+        raise ModelError(f"family II branches have no sign; the branch "
+                         f"record gives {branch.tag} sign {sign}")
+    return branch
 
 
 def load_problem(path) -> tuple[TransmissionProblem, BranchId | None]:

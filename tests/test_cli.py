@@ -57,9 +57,8 @@ def test_solve_writes_expected_files(tmp_path):
 def test_sup_columns_are_the_panel_sups(tmp_path):
     # II_1's rank-0 right piece is c2 * sin(w (1 - x)) with c2 = -0.0
     out = tmp_path / "out"
-    assert cli.main(["solve", "--problem", str(EX1), "--family", "II",
-                     "--n", "1", "--rank", "6", "--mesh", "256",
-                     "--out", str(out)]) == 0
+    assert cli.main(["solve", "--problem", str(EX1), "--branch", "II_1",
+                     "--rank", "6", "--mesh", "256", "--out", str(out)]) == 0
     rows = [line.split(",") for line in
             (out / "II_1.csv").read_text().splitlines()[1:]]
     problem, _ = load_problem(EX1)
@@ -113,9 +112,9 @@ def test_solve_with_overflowing_decay_factor(tmp_path):
 
 def test_solve_flags_override_file_branch(tmp_path):
     out = tmp_path / "out"
-    code = cli.main(["solve", "--problem", str(EX1), "--family", "I",
-                     "--n", "1", "--sign", "-", "--rank", "1",
-                     "--mesh", "128", "--out", str(out)])
+    # ex1's record is I_plus_0
+    code = cli.main(["solve", "--problem", str(EX1), "--branch", "I_minus_1",
+                     "--rank", "1", "--mesh", "128", "--out", str(out)])
     assert code == 0
     assert (out / "I_minus_1.json").exists()
     payload = json.loads((out / "I_minus_1.json").read_text())
@@ -123,50 +122,22 @@ def test_solve_flags_override_file_branch(tmp_path):
     assert payload["config"]["sign"] == -1
 
 
-def test_solve_sign_flag_keeps_file_family(tmp_path):
-    prob = write_free_problem(tmp_path, branch={"family": "I", "n": 0})
-    out = tmp_path / "out"
-    code = cli.main(["solve", "--problem", str(prob), "--n", "1",
-                     "--sign", "-", "--rank", "1", "--mesh", "64",
-                     "--out", str(out)])
-    assert code == 0
-    payload = json.loads((out / "I_minus_1.json").read_text())
-    assert payload["config"] == {"family": "I", "mesh": 64, "n": 1,
-                                 "rank": 1, "sign": -1}
-
-
-@pytest.mark.parametrize("flags,named", [
-    (["--n", "3", "--sign", "-"], "--n and --sign"),
-    (["--n", "3"], "--n"),
-    (["--sign", "-"], "--sign"),
-], ids=["both", "n", "sign"])
-def test_solve_refuses_branch_flags_without_a_family(tmp_path, capsys, flags,
-                                                     named):
-    # no --family and no branch record: the flags have nothing to refine
-    prob = write_free_problem(tmp_path)
+@pytest.mark.parametrize("flags,record,message", [
+    (["--branch", "II_minus_2"], None,
+     "unknown branch tag 'II_minus_2'; a tag reads I_plus_<n>, I_minus_<n> "
+     "or II_<n>"),
+    ([], {"family": "II", "n": 2, "sign": -1},
+     "family II branches have no sign; the branch record gives II_2 sign -1"),
+], ids=["family-flag", "file-record"])
+def test_solve_refuses_sign_for_family_two(tmp_path, capsys, flags, record,
+                                           message):
+    # a family II branch has no sign: a given one must not be dropped silently
+    prob = write_free_problem(tmp_path, branch=record)
     out = tmp_path / "out"
     code = cli.main(["solve", "--problem", str(prob), *flags, "--rank", "1",
                      "--mesh", "64", "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == (
-        "error: without --family or a branch record in the problem file, "
-        f"{named} cannot select a branch\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flags,record", [
-    (["--family", "II", "--n", "2"], None),
-    ([], {"family": "II", "n": 2}),
-], ids=["family-flag", "file-record"])
-def test_solve_refuses_sign_for_family_two(tmp_path, capsys, flags, record):
-    # a family II branch has no sign: --sign must not be dropped silently
-    prob = write_free_problem(tmp_path, branch=record)
-    out = tmp_path / "out"
-    code = cli.main(["solve", "--problem", str(prob), *flags, "--sign", "-",
-                     "--rank", "1", "--mesh", "64", "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: --sign applies to family I branches only; II_2 has no sign\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -178,15 +149,6 @@ def test_solve_without_branch_flags_or_record_solves_the_lowest(tmp_path):
     assert code == 0
     assert sorted(p.name for p in out.iterdir()) == ["I_plus_0.csv",
                                                       "I_plus_0.json"]
-
-
-def test_solve_family_flag_default_index(tmp_path):
-    prob = write_free_problem(tmp_path)
-    out = tmp_path / "out"
-    code = cli.main(["solve", "--problem", str(prob), "--family", "II",
-                     "--rank", "0", "--mesh", "64", "--out", str(out)])
-    assert code == 0
-    assert (out / "II_1.json").exists()
 
 
 def test_sweep_outputs_and_log_table(tmp_path):
@@ -441,10 +403,22 @@ def test_sweep_pool_has_no_more_workers_than_branches(
 
 
 def test_invalid_branch_flags(tmp_path, capsys):
-    code = cli.main(["solve", "--problem", str(EX1), "--family", "II",
-                     "--n", "0", "--out", str(tmp_path / "out")])
+    code = cli.main(["solve", "--problem", str(EX1), "--branch", "II_0",
+                     "--out", str(tmp_path / "out")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag", ["I_minus_0", ""])
+def test_solve_refuses_a_bad_branch_tag(tmp_path, capsys, tag):
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--problem", str(EX1), "--branch", tag,
+                     "--rank", "1", "--mesh", "64", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown branch tag {tag!r}; a tag reads I_plus_<n>, "
+        "I_minus_<n> or II_<n>\n")
+    assert not out.exists()
 
 
 def test_json_is_sorted_and_finite(tmp_path):
@@ -503,8 +477,7 @@ def test_divergent_solve_reports_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["solve", "--family", "II", "--n", "1"], "II_1: residual norm at rank 1 "
-                                              "is nan"),
+    (["solve", "--branch", "II_1"], "II_1: residual norm at rank 1 is nan"),
     (["sweep", "--first", "2"], "I_plus_0: residual norm at rank 1 is inf"),
 ], ids=["solve-nan", "sweep-inf"])
 def test_non_finite_residual_exits_1_without_output(tmp_path, capsys, argv,

@@ -301,8 +301,10 @@ def test_radius_past_the_float_range_is_inf(q_norm, nbar):
     lambda q: branch_point_radius(q, SQUARE),
     lambda q: majorant_sequence(q, None, 12),
     lambda q: convergence_report(q, None, BranchId("I", 0, 1), 2),
+    lambda q: convergence_report(q, None, BranchId("I", 0, 1), 2,
+                                 radius=0.02),
 ], ids=["radius_linear", "branch_point_radius", "majorant_sequence",
-        "convergence_report"])
+        "convergence_report", "convergence_report-radius-given"])
 def test_potential_norm_must_be_finite_and_non_negative(call, q_norm):
     # a nan norm used to read radius nan and decay factors [1, nan, nan],
     # or die later in a misleading "no critical point" or numpy error

@@ -1,16 +1,20 @@
 """Every imported name is used, every private name of the package is read,
-every public one is read or exported, and the README names every export.
+every public one is read or exported, and the README names every export
+and every command-line flag.
 
 The first three stand in for a linter's unused-import rule and a dead-code
 check.
 """
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import transeig
+from transeig import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "transeig").glob("*.py"))
@@ -148,3 +152,17 @@ def test_readme_names_every_export():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert [name for name in transeig.__all__
             if f"`{name}`" not in readme and f"`{name}(" not in readme] == []
+
+
+def test_readme_names_every_flag():
+    # the flags of every subcommand, and no flag that is gone, in the
+    # "Command line" section
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    subparsers, = [a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flags = {flag for sub in subparsers.choices.values()
+             for action in sub._actions for flag in action.option_strings
+             if flag not in ("-h", "--help")}
+    assert "--branch" in flags and "--tol" in flags
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section)) == flags

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transeig.basis import ascending_branches
 from transeig.model import (BranchId, ModelError, NonlinearitySpec,
                             PotentialSpec, TransmissionProblem, horner,
                             l1_norm, load_problem)
@@ -159,6 +160,26 @@ def test_branch_canonicalization():
         BranchId("I", 1, 2)
 
 
+def test_from_tag_inverts_tag():
+    branches = ascending_branches(200)
+    assert {b.family for b in branches} == {"I", "II"}
+    assert {b.sign for b in branches} == {1, -1}
+    for b in branches:
+        assert BranchId.from_tag(b.tag) == b
+
+
+@pytest.mark.parametrize("tag", [
+    "I_minus_0", "II_0", "I_plus_01", "I_plus_+1", "II_-1", "I_1", "III_1",
+    "ii_1", "II_1.0", ""])
+def test_from_tag_refuses_what_tag_never_writes(tag):
+    with pytest.raises(ModelError) as info:
+        BranchId.from_tag(tag)
+    message = str(info.value)
+    assert repr(tag) in message
+    assert all(form in message
+               for form in ("I_plus_<n>", "I_minus_<n>", "II_<n>"))
+
+
 def test_problem_flags():
     p = TransmissionProblem(PotentialSpec.inverse_sqrt_half())
     assert p.is_linear and p.is_singular
@@ -178,6 +199,18 @@ def test_load_problem_round_trip(tmp_path):
     assert problem.potential(0.5) == pytest.approx(0.5)
     assert problem.nonlinearity(2.0) == pytest.approx(4.0)
     assert branch == BranchId("II", 2)
+
+
+@pytest.mark.parametrize("record,tag", [
+    ({"family": "II", "n": 2, "sign": 1}, "II_2"),
+    ({"family": "I", "n": 0, "sign": -1}, "I_plus_0"),
+], ids=["family-two-plus", "family-one-n0-minus"])
+def test_load_problem_keeps_a_sign_that_is_not_lost(tmp_path, record, tag):
+    # at n = 0 both family I signs are one branch, so -1 is no loss
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps({"potential": {"kind": "polynomial"},
+                                "branch": record}))
+    assert load_problem(path)[1].tag == tag
 
 
 def test_load_problem_without_branch(tmp_path):
@@ -236,13 +269,16 @@ def test_load_problem_bad_kind(tmp_path):
      "branch": {"family": "II", "n": 1, "sgn": 1}},
     {"potential": {"kind": "polynomial"},
      "nonlinear": {"coeffs_from_degree_1": [0.0, 1.0]}},
+    {"potential": {"kind": "polynomial"},
+     "branch": {"family": "II", "n": 2, "sign": -1}},
 ], ids=["potential", "nonlinearity", "branch", "empty-coeffs",
         "scalar-coeffs", "null-coeff", "scalar-nonlinearity-coeffs",
         "string-nonlinearity-coeff", "null-n", "string-sign", "list",
         "number", "nan-coeff", "infinite-coeff", "huge-int-coeff",
         "infinite-nonlinearity-coeff", "fractional-n", "string-n", "bool-n",
         "float-sign", "nonlinearity-key", "potential-key",
-        "coeffs-of-the-weight", "branch-key", "top-level-key"])
+        "coeffs-of-the-weight", "branch-key", "top-level-key",
+        "family-two-sign"])
 def test_load_problem_rejects_malformed_records(tmp_path, record):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(record))
