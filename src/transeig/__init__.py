@@ -22,8 +22,7 @@ from .oracle import ShotResult, find_eigenvalue, shoot
 from .quadrature import (GridFunction, PanelFn, PanelMesh, QuadratureError,
                          cumulative_simpson, kernel_convolution,
                          weighted_cumulative)
-from .residual import (ResidualReport, count_interior_zeros,
-                       integrated_residual, log_table, pointwise_residual,
+from .residual import (ResidualReport, count_interior_zeros, log_table,
                        residual_by_rank, residual_report)
 
 __version__ = "0.1.0"
@@ -37,9 +36,8 @@ __all__ = [
     "ascending_branches", "branch_constants", "branch_point_radius",
     "convergence_ratio", "convergence_report", "count_interior_zeros",
     "cumulative_simpson", "decay_report", "estimate_radius_nonlinear",
-    "fd_solve", "find_eigenvalue", "integrated_residual",
-    "kernel_convolution", "l1_norm", "load_problem", "log_table",
-    "majorant_sequence", "pointwise_residual", "radius_linear",
+    "fd_solve", "find_eigenvalue", "kernel_convolution", "l1_norm",
+    "load_problem", "log_table", "majorant_sequence", "radius_linear",
     "residual_by_rank", "residual_report", "shoot", "weighted_cumulative",
     "zero_eigenfunction", "zero_eigenvalue",
 ]

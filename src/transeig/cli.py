@@ -73,7 +73,7 @@ def _branch_payload(problem: TransmissionProblem, l1: float, radius: float,
     conv = convergence_report(l1, problem.nonlinearity, branch, rank,
                               radius)
     lines = ["m,lambda,sup_u1,sup_u2,residual_norm"]
-    lams = np.cumsum(sol.lambdas)  # adds in rank order, as lambda_partial
+    lams = np.cumsum(sol.lambdas)  # adds in rank order, as lambda_total
     for m, (u, report) in enumerate(zip(sol.u, reports)):
         sups = np.abs(u).max(axis=-1)  # sup of u1 and of u2
         lines.append(",".join([
@@ -273,6 +273,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -29,7 +29,6 @@ from .model import BranchId, NonlinearitySpec
 
 V0 = 8.0 / 3.0
 _RESCALE_AT = 1e100
-_LOG_FLOAT_MAX = math.log(1.7e308)
 _RATIO_WINDOW = 10
 
 
@@ -75,39 +74,16 @@ def convergence_ratio(branch: BranchId, radius: float) -> float:
 class MajorantState:
     """Dominating sequences in rescaled form.
 
-    scaled[j] holds vbar_j * gamma**j under the current gamma. The second
-    majorant satisfies mubar_j * (1 + v0) = vbar_j for j >= 1, so mu_bar()
-    derives it. Reconstruction of the raw values can saturate to inf for
-    long sequences; the flag records that, and ratios should always be
-    taken through the ratios() method, which never leaves the
-    representable range.
+    scaled[j] holds vbar_j * gamma**j under the current gamma, which is
+    below 1 once a term has been rescaled. The second majorant is
+    mubar_j = vbar_j / (1 + v0) for j >= 1. The raw values can pass the
+    float range for long sequences, so ratios should always be taken
+    through the ratios() method, which never leaves it.
     """
 
     terms: int
     scaled: np.ndarray
     gamma: float
-    overflowed: bool = False
-
-    def log_vbar(self, j: int) -> float:
-        if not 0 <= j <= self.terms:
-            raise ValueError(f"term {j} not computed (have 0..{self.terms})")
-        if self.scaled[j] == 0.0:
-            return -math.inf
-        return math.log(self.scaled[j]) - j * math.log(self.gamma)
-
-    def vbar(self, j: int) -> float:
-        lv = self.log_vbar(j)
-        if lv == -math.inf:
-            return 0.0
-        return math.exp(lv) if lv < _LOG_FLOAT_MAX else math.inf
-
-    def vbar_sequence(self) -> np.ndarray:
-        return np.array([self.vbar(j) for j in range(self.terms + 1)])
-
-    def mu_bar(self, j: int) -> float:
-        if not 1 <= j <= self.terms:
-            raise ValueError(f"term {j} not computed (have 1..{self.terms})")
-        return self.vbar(j) / (1.0 + V0)
 
     def ratios(self) -> np.ndarray:
         """Consecutive ratios vbar_j / vbar_{j+1}, exact in scaled form."""
@@ -139,7 +115,6 @@ def majorant_sequence(q_norm: float, nbar: NonlinearitySpec | None,
     if bar is not None:
         drive0 += bar.majorant_derivative(V0) * V0
     w[1] = (1.0 + V0) * drive0
-    overflowed = False
     for j in range(1, terms):
         quad = float(np.dot(w[1:j + 1][::-1], w[1:j + 1]))
         drive = q_norm * w[j]
@@ -150,9 +125,7 @@ def majorant_sequence(q_norm: float, nbar: NonlinearitySpec | None,
             sigma = (1.0 / w[j + 1]) ** (1.0 / (j + 1))
             w[:j + 2] *= sigma ** np.arange(j + 2)
             gamma *= sigma
-            overflowed = True
-    return MajorantState(terms=terms, scaled=w, gamma=gamma,
-                         overflowed=overflowed)
+    return MajorantState(terms=terms, scaled=w, gamma=gamma)
 
 
 def estimate_radius_nonlinear(state: MajorantState) -> float:
@@ -267,6 +240,8 @@ def convergence_report(q_norm: float, nbar: NonlinearitySpec | None,
     branches of one problem can compute it once.
     """
     _check_norm(q_norm)
+    if rank < 0:
+        raise ValueError("rank must be non-negative")
     if radius is None:
         radius = branch_point_radius(q_norm, nbar)
     ratio = convergence_ratio(branch, radius)

@@ -162,21 +162,8 @@ class FdSolution:
     def lambda_total(self) -> float:
         return float(sum(self.lambdas))
 
-    def lambda_partial(self, k: int) -> float:
-        return self.truncate(k).lambda_total
-
     def u_total(self) -> GridFunction:
         return GridFunction(*_rows(sum(self.u)))
-
-    def du_total(self) -> tuple[PanelFn, PanelFn]:
-        return _rows(sum(self.du))
-
-    def truncate(self, k: int) -> "FdSolution":
-        if not 0 <= k <= self.rank:
-            raise FdError(f"rank-{self.rank} solution has no partial sum {k}")
-        rows = (a[:k + 1] for a in (self.lambdas, self.c2, self.u, self.du))
-        return FdSolution(self.problem, self.branch, *rows,
-                          None if self.rhs is None else self.rhs[:k])
 
 
 def _potential_on_panels(q: PotentialSpec, x: np.ndarray):

@@ -162,10 +162,6 @@ class NonlinearitySpec:
     def is_empty(self) -> bool:
         return all(a == 0.0 for a in self.coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
-
     def __call__(self, u):
         """N(u) for scalar or array u."""
         out = horner((0.0,) + self.coeffs, np.asarray(u, dtype=float))
@@ -240,10 +236,6 @@ class TransmissionProblem:
 
     potential: PotentialSpec
     nonlinearity: NonlinearitySpec = field(default_factory=NonlinearitySpec.empty)
-
-    @property
-    def is_linear(self) -> bool:
-        return self.nonlinearity.is_empty
 
     @property
     def is_singular(self) -> bool:

@@ -48,9 +48,11 @@ def shoot(problem: TransmissionProblem, lam: float,
     """Integrate from x=0 with (u, u') = (0, 1) and report u(1).
 
     A failed integration raises ValueError, like a bracket without a sign
-    change, so a caller can move on to its next bracket; so does a tol
-    that is not finite and positive.
+    change, so a caller can move on to its next bracket; so do a lam that
+    is not finite and a tol that is not finite and positive.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"shooting needs a finite lambda, not {lam}")
     _check_tol(tol)
     q = problem.potential
     if q.is_singular:

@@ -173,14 +173,6 @@ class PanelFn:
         if self.values.shape != (self.mesh.m + 1,):
             raise QuadratureError("value count does not match the mesh")
 
-    @classmethod
-    def from_callable(cls, mesh: PanelMesh, fn) -> "PanelFn":
-        return cls(mesh, np.asarray(fn(mesh.nodes), dtype=float))
-
-    @classmethod
-    def zeros(cls, mesh: PanelMesh) -> "PanelFn":
-        return cls(mesh, np.zeros(mesh.m + 1))
-
     def __call__(self, x):
         return interp_uniform(self.mesh.a, self.mesh.h, self.values, x)
 

@@ -53,9 +53,9 @@ def _running_totals(sol: FdSolution):
     """Yield the totals at ranks 0..m, walking the rank rows once.
 
     Every sum adds left to right from 0, as FdSolution does, so the totals
-    at rank k are those of sol.truncate(k). q is evaluated once. The panel
-    arrays of the totals are added to in place: each yielded _Totals is
-    valid until the next one is asked for.
+    at rank k are those of the solution made of rows 0..k. q is evaluated
+    once. The panel arrays of the totals are added to in place: each
+    yielded _Totals is valid until the next one is asked for.
     """
     q = _potential_on_panels(sol.problem.potential, _panel_nodes(sol.mesh_m))
     lam = 0
@@ -115,20 +115,6 @@ def _at_full_rank(sol: FdSolution, form) -> ResidualReport:
     return form(sol, totals)
 
 
-def pointwise_residual(sol: FdSolution) -> ResidualReport:
-    """Residual of the truncated approximation evaluated on the mesh."""
-    if sol.problem.potential.is_singular:
-        raise ValueError("pointwise residual needs a potential that is "
-                         "finite on each panel; use integrated_residual "
-                         "for a singular interface weight")
-    return _at_full_rank(sol, _pointwise)
-
-
-def integrated_residual(sol: FdSolution) -> ResidualReport:
-    """Once-antidifferentiated residual, valid for any integrable potential."""
-    return _at_full_rank(sol, _integrated)
-
-
 def residual_report(sol: FdSolution) -> ResidualReport:
     """Residual in the form appropriate for the potential's regularity."""
     return _at_full_rank(sol, _form(sol))
@@ -137,8 +123,8 @@ def residual_report(sol: FdSolution) -> ResidualReport:
 def residual_by_rank(sol: FdSolution) -> list[ResidualReport]:
     """Reports for every truncation rank 0..m of the solution, in one pass.
 
-    q is evaluated at the nodes once, and row k equals
-    residual_report(sol.truncate(k)).
+    q is evaluated at the nodes once, and row k equals residual_report of
+    the solution made of rows 0..k.
     """
     form = _form(sol)
     return [form(sol, t) for t in _running_totals(sol)]

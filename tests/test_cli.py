@@ -82,7 +82,8 @@ def test_lambda_column_is_each_partial_sum(tmp_path):
         sol = fd_solve(problem, branch, 32, 2048)
         cells = [line.split(",")[1] for line in
                  (out / f"{branch.tag}.csv").read_text().splitlines()[1:]]
-        assert cells == [cli._fmt(sol.lambda_partial(m)) for m in range(33)]
+        assert cells == [cli._fmt(float(sum(sol.lambdas[:m + 1])))
+                         for m in range(33)]
 
 
 def test_solve_zero_potential_constant_lambda(tmp_path):
@@ -494,6 +495,23 @@ def test_non_finite_residual_exits_1_without_output(tmp_path, capsys, argv,
     assert code == 1
     assert capsys.readouterr().err == (
         f"error: {message}; nothing was written\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "validate"])
+def test_an_allocation_failure_exits_1_without_output(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # a --mesh or --rank too large to allocate: one line, no traceback
+    def fail(*args):
+        raise MemoryError("Unable to allocate 1.49 GiB for an array")
+
+    monkeypatch.setattr(cli, "fd_solve", fail)
+    out = tmp_path / "out"
+    argv = [command, "--problem", str(EX1), "--out", str(out)]
+    code = cli.main(argv + ([] if command == "solve" else ["--first", "1"]))
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: out of memory: Unable to "
+                                       "allocate 1.49 GiB for an array\n")
     assert not out.exists()
 
 

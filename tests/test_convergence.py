@@ -13,6 +13,7 @@ from transeig.convergence import (V0, ConvergenceReport, branch_constants,
                                   convergence_report, decay_report,
                                   estimate_radius_nonlinear,
                                   majorant_sequence, radius_linear)
+from transeig.fdcore import adomian
 from transeig.model import BranchId, NonlinearitySpec
 
 SQUARE = NonlinearitySpec.power(2)
@@ -62,20 +63,32 @@ def test_linear_radius_monotone_in_norm():
     assert all(a > b for a, b in zip(rs[:-1], rs[1:]))
 
 
+def vbar(state):
+    """The raw majorant vbar_j = scaled[j] * gamma**-j, j = 0..terms."""
+    return state.scaled * state.gamma ** -np.arange(state.terms + 1)
+
+
 def test_majorant_start_values_linear():
     state = majorant_sequence(1.0, None, terms=4)
     assert V0 == pytest.approx(8.0 / 3.0)
-    assert state.vbar(1) == pytest.approx(88.0 / 9.0, rel=1e-12)
-    assert state.vbar(2) == pytest.approx(10648.0 / 81.0, rel=1e-12)
+    assert vbar(state)[1] == pytest.approx(88.0 / 9.0, rel=1e-12)
+    assert vbar(state)[2] == pytest.approx(10648.0 / 81.0, rel=1e-12)
 
 
 def test_majorant_mu_identity():
-    # mu(j) * (1 + v0) = vbar(j) holds exactly for every j >= 1
+    # with mu(j) = vbar(j) / (1 + v0) for j >= 1, mu's recurrence is
+    # vbar(j+1) = sum vbar(j+1-p) vbar(p) + (1 + v0) (q vbar(j) + A_j)
+    q = 1.3
     for nbar in (None, SQUARE):
-        state = majorant_sequence(1.3, nbar, terms=30)
-        for j in range(1, 31):
-            assert state.mu_bar(j) * (1.0 + V0) == pytest.approx(
-                state.vbar(j), rel=1e-12)
+        state = majorant_sequence(q, nbar, terms=30)
+        v = vbar(state)
+        for j in range(1, 30):
+            drive = q * v[j]
+            if nbar is not None:
+                drive += adomian(nbar.majorant_spec(), v[:j + 1])
+            assert v[j + 1] == pytest.approx(
+                np.dot(v[j:0:-1], v[1:j + 1]) + (1.0 + V0) * drive,
+                rel=1e-12)
 
 
 def test_majorant_mu_recurrence_direct():
@@ -83,16 +96,15 @@ def test_majorant_mu_recurrence_direct():
     q = 0.8
     state = majorant_sequence(q, SQUARE, terms=12)
     bar = SQUARE.majorant_spec()
-    v = [state.vbar(j) for j in range(13)]
+    v = vbar(state)
     mu = [0.0, q * V0 + bar.majorant_derivative(V0) * V0]
     for j in range(1, 12):
         total = sum(mu[j + 1 - p] * v[p] for p in range(1, j + 1))
         total += q * v[j]
-        from transeig.fdcore import adomian
         total += adomian(bar, v[:j + 1])
         mu.append(total)
     for j in range(1, 13):
-        assert state.mu_bar(j) == pytest.approx(mu[j], rel=1e-9)
+        assert v[j] / (1.0 + V0) == pytest.approx(mu[j], rel=1e-9)
 
 
 def test_majorant_argument_validation():
@@ -104,11 +116,11 @@ def test_majorant_argument_validation():
 
 def test_rescaling_keeps_ratios():
     state = majorant_sequence(1.0, SQUARE, terms=200)
-    assert state.overflowed is True
-    assert state.gamma < 1.0
+    assert state.gamma < 1.0  # a term was rescaled
     assert np.all(np.isfinite(state.scaled))
     # log values keep growing even though raw storage is capped
-    assert state.log_vbar(200) > state.log_vbar(100) > state.log_vbar(50)
+    log_v = np.log(state.scaled) - np.arange(201) * math.log(state.gamma)
+    assert log_v[200] > log_v[100] > log_v[50]
 
 
 def test_ratio_estimate_linear_within_five_percent():
@@ -223,6 +235,12 @@ def test_convergence_report_linear():
     assert d["ratio"] == rep.ratio
 
 
+def test_convergence_report_refuses_a_negative_rank():
+    # rank + 1 decay reports: none at rank -1, so no message to read
+    with pytest.raises(ValueError, match="rank must be non-negative"):
+        convergence_report(1.0, None, BranchId("II", 1), rank=-1)
+
+
 def test_convergence_report_nonlinear():
     rep = convergence_report(1.0, SQUARE, BranchId("II", 1), rank=3)
     assert rep.radius == branch_point_radius(1.0, SQUARE)
@@ -322,5 +340,5 @@ def test_radius_without_critical_point_raises(monkeypatch):
 def test_state_ratios_follow_storage():
     state = majorant_sequence(0.7, None, terms=15)
     ratios = state.ratios()
-    v = state.vbar_sequence()
+    v = vbar(state)
     assert np.allclose(ratios[1:], v[1:-1] / v[2:], rtol=1e-10)

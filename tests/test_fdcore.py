@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from transeig.basis import ascending_branches, zero_eigenvalue
 from transeig.convergence import branch_constants
-from transeig.fdcore import (DEFAULT_MESH, FdError, _AdomianSeries,
-                             _driving_field, _Engine, _Frame, adomian,
-                             fd_solve)
+from transeig.fdcore import (DEFAULT_MESH, FdError, FdSolution,
+                             _AdomianSeries, _driving_field, _Engine, _Frame,
+                             adomian, fd_solve)
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
                             TransmissionProblem, load_problem)
 from transeig import quadrature
@@ -288,22 +288,16 @@ def test_fd_solve_converged_eigenvalue():
 
 
 def test_lambda_partial_and_truncate():
+    # the rank-k solution is the row slices 0..k; its eigenvalue is the
+    # partial sum, added from rank 0 as the CSV's running sum adds it
     sol = fd_solve(EX1, B0, rank=3, mesh=128)
+    partial = np.cumsum(sol.lambdas)
     for k in range(4):
-        trunc = sol.truncate(k)
+        rows = (a[:k + 1] for a in (sol.lambdas, sol.c2, sol.u, sol.du))
+        trunc = FdSolution(EX1, B0, *rows, sol.rhs[:k])
         assert (trunc.rank, trunc.mesh_m) == (k, 128)
-        assert trunc.lambda_total == sol.lambda_partial(k)
-        for field in ("lambdas", "c2", "u", "du", "rhs"):
-            part, whole = getattr(trunc, field), getattr(sol, field)
-            assert len(part) == (k if field == "rhs" else k + 1)
-            assert part.size == 0 or np.shares_memory(part, whole)
-    with pytest.raises(FdError):
-        sol.truncate(4)
-    for k in (-1, -2, 4):
-        with pytest.raises(FdError, match="partial sum"):
-            sol.lambda_partial(k)
-    with pytest.raises(FdError):
-        sol.truncate(-1)
+        assert trunc.lambda_total == float(sum(sol.lambdas[:k + 1]))
+        assert trunc.lambda_total == partial[k]
 
 
 def test_solution_evaluation_helpers():
@@ -312,8 +306,8 @@ def test_solution_evaluation_helpers():
     assert u(0.5) == pytest.approx(u(0.5 + 1e-12), abs=1e-6)
     assert abs(u(0.0)) < 1e-12
     assert abs(u(1.0)) < 1e-12
-    du1, du2 = sol.du_total()
-    assert du2.values[0] - du1.values[-1] == pytest.approx(1.0, abs=1e-8)
+    du = sum(sol.du)
+    assert du[1, 0] - du[0, -1] == pytest.approx(1.0, abs=1e-8)
 
 
 def reference_step(problem, branch, lambdas, u):

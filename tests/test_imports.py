@@ -1,8 +1,9 @@
 """Every imported name is used, every private name of the package is read,
-every public one is read or exported, and the README names every export
+every public one is read or exported, every public method is read outside
+its own tests or named in the README, and the README names every export
 and every command-line flag.
 
-The first three stand in for a linter's unused-import rule and a dead-code
+The first four stand in for a linter's unused-import rule and a dead-code
 check.
 """
 
@@ -18,6 +19,10 @@ from transeig import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "transeig").glob("*.py"))
+# the code a public method may be read in: the package, the frozen
+# acceptance tests and the benchmark harness, not the method's own tests
+READERS = [*SOURCES, ROOT / "tests" / "test_acceptance.py",
+           *sorted((ROOT / "perfbench").glob("*.py"))]
 MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
@@ -53,8 +58,17 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def members(node: ast.ClassDef) -> list[str]:
+    """The methods of a class, and its attributes bound to property(...)."""
+    return [m.name for m in node.body if isinstance(m, ast.FunctionDef)] + [
+        t.id for m in node.body if isinstance(m, ast.Assign)
+        and isinstance(m.value, ast.Call)
+        and getattr(m.value.func, "id", None) == "property"
+        for t in m.targets if isinstance(t, ast.Name)]
+
+
 def definitions(source: str) -> tuple[list[str], list[str]]:
-    """Names a source binds at module level, and the methods of its classes.
+    """Names a source binds at module level, and the members of its classes.
 
     A module-level name is bound by a def, a class or an assignment.
     """
@@ -63,8 +77,7 @@ def definitions(source: str) -> tuple[list[str], list[str]]:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
             if isinstance(node, ast.ClassDef):
-                methods += [m.name for m in node.body
-                            if isinstance(m, ast.FunctionDef)]
+                methods += members(node)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = getattr(node, "targets", [getattr(node, "target", None)])
             names += [n.id for t in targets for n in ast.walk(t)
@@ -146,6 +159,50 @@ def test_every_public_name_of_the_package_is_read_or_exported():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert sum(len(public_definitions(s)) for s in sources) > 50
     assert unread_public_names(sources, transeig.__all__) == []
+
+
+def public_members(source: str) -> list[str]:
+    """Public members of a source's classes, as `Class.name`."""
+    return [f"{node.name}.{name}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            for name in members(node) if not name.startswith("_")]
+
+
+def unread_public_members(sources: list[str], readers: list[str],
+                          readme: str) -> list[str]:
+    """Public members of the sources' classes that no reader loads and no
+    backtick span of the readme names. Names are matched alone, so one
+    that another class or a local also uses counts as read."""
+    read = read_names(readers)
+    read |= set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`",
+                                                       readme))))
+    return [member for source in sources for member in public_members(source)
+            if member.split(".")[1] not in read]
+
+
+def test_member_checker_flags_unread_methods_and_properties():
+    source = ("class Toy:\n"
+              "    size = property(lambda self: 1)\n"
+              "    orphan_property = property(lambda self: 2)\n"
+              "    label = 'toy'\n"
+              "    def __call__(self):\n        return self.size\n"
+              "    def _hidden(self):\n        pass\n"
+              "    def documented(self):\n        pass\n"
+              "    def orphan_method(self):\n        pass\n"
+              "    @property\n    def shape(self):\n        pass\n"
+              "    @staticmethod\n    def build():\n        return Toy()\n")
+    readers = [source, "print(Toy.build().shape)\n"]
+    readme = "Call `toy.documented()`; orphan_method is not in backticks."
+    assert unread_public_members([source], readers, readme) == [
+        "Toy.orphan_method", "Toy.orphan_property"]
+
+
+def test_every_public_member_of_the_package_is_read_or_documented():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    readers = [path.read_text(encoding="utf-8") for path in READERS]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert sum(len(public_members(s)) for s in sources) > 30
+    assert unread_public_members(sources, readers, readme) == []
 
 
 def test_readme_names_every_export():

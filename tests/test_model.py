@@ -91,7 +91,7 @@ def test_nonlinearity_power():
     nl = NonlinearitySpec.power(2)
     assert nl(3.0) == pytest.approx(9.0)
     assert not nl.is_empty
-    assert nl.degree == 2
+    assert len(nl.coeffs) == 2
     with pytest.raises(ModelError):
         NonlinearitySpec.power(0)
 
@@ -182,9 +182,9 @@ def test_from_tag_refuses_what_tag_never_writes(tag):
 
 def test_problem_flags():
     p = TransmissionProblem(PotentialSpec.inverse_sqrt_half())
-    assert p.is_linear and p.is_singular
+    assert p.nonlinearity.is_empty and p.is_singular
     p = TransmissionProblem(PotentialSpec.zero(), NonlinearitySpec.power(3))
-    assert not p.is_linear and not p.is_singular
+    assert not p.nonlinearity.is_empty and not p.is_singular
 
 
 def test_load_problem_round_trip(tmp_path):
@@ -290,7 +290,7 @@ def test_shipped_problem_files():
     p1, b1 = load_problem("problems/example1.json")
     assert b1.tag == "I_plus_0"
     assert p1.potential.is_singular is False
-    assert p1.nonlinearity.degree == 2
+    assert len(p1.nonlinearity.coeffs) == 2
     p2, b2 = load_problem("problems/example2.json")
     assert p2.potential.is_singular is True
     assert l1_norm(p2.potential) == pytest.approx(2.0 * math.sqrt(2.0))

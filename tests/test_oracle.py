@@ -694,6 +694,18 @@ def test_a_tol_outside_zero_to_inf_is_refused(tol):
         find_eigenvalue(FREE, (15.0, 20.0), tol=tol)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_a_lambda_that_is_not_finite_is_refused(lam):
+    # refused before the integrator, which would blame its step size
+    with pytest.raises(ValueError, match=f"finite lambda, not {lam}"):
+        shoot(FREE, lam)
+
+
+def test_an_infinite_bracket_end_is_refused():
+    with pytest.raises(ValueError, match="finite lambda, not inf"):
+        find_eigenvalue(FREE, (17.0, math.inf))
+
+
 def cubic(c):
     return lambda x: ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
 

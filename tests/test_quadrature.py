@@ -217,7 +217,8 @@ def test_memo_compares_every_point_bit_for_bit():
                          ids=["nan", "nan-in-array", "cell-below", "cell-above",
                               "other-panel"])
 def test_panel_fn_refuses_points_off_its_panel(x):
-    f = PanelFn.from_callable(PanelMesh("left", 20), cubic)
+    mesh = PanelMesh("left", 20)
+    f = PanelFn(mesh, cubic(mesh.nodes))
     with pytest.raises(QuadratureError, match="off the grid"):
         f(x)
 
@@ -236,15 +237,20 @@ def test_substituted_points_lie_on_their_panel(panel, m):
 
 def test_panel_fn_sup_and_call():
     mesh = PanelMesh("right", 32)
-    f = PanelFn.from_callable(mesh, lambda x: np.sin(2.0 * math.pi * x))
+    f = PanelFn(mesh, np.sin(2.0 * math.pi * mesh.nodes))
     assert f.sup == pytest.approx(1.0, abs=1e-3)
     assert f(0.75) == pytest.approx(-1.0, abs=1e-6)
 
 
+def ramps(m):
+    """x on the left panel and 1 - x on the right, an m-mesh each."""
+    left, right = PanelMesh("left", m), PanelMesh("right", m)
+    return GridFunction(PanelFn(left, left.nodes),
+                        PanelFn(right, 1.0 - right.nodes))
+
+
 def test_grid_function_dispatch():
-    left = PanelFn.from_callable(PanelMesh("left", 16), lambda x: x)
-    right = PanelFn.from_callable(PanelMesh("right", 16), lambda x: 1.0 - x)
-    u = GridFunction(left, right)
+    u = ramps(16)
     assert u(0.25) == pytest.approx(0.25)
     assert u(0.75) == pytest.approx(0.25)
     assert u.sup_norm == pytest.approx(0.5)
@@ -412,7 +418,7 @@ def test_kernel_constant_forcing():
     lam0 = 7.3
     w = math.sqrt(lam0)
     mesh = PanelMesh("left", 128)
-    f = PanelFn.from_callable(mesh, lambda x: np.ones_like(x))
+    f = PanelFn(mesh, np.ones(mesh.m + 1))
     g, dg = kernel_convolution(lam0, f, "from-left", with_derivative=True)
     exact = (1.0 - np.cos(w * mesh.nodes)) / lam0
     assert np.max(np.abs(g.values - exact)) < 1e-10
@@ -423,7 +429,7 @@ def test_kernel_resonant_forcing():
     lam0 = (4.0 * math.pi / 3.0) ** 2
     w = math.sqrt(lam0)
     mesh = PanelMesh("left", 256)
-    f = PanelFn.from_callable(mesh, lambda x: np.sin(w * x))
+    f = PanelFn(mesh, np.sin(w * mesh.nodes))
     g = kernel_convolution(lam0, f, "from-left")
     x = mesh.nodes
     exact = (np.sin(w * x) - w * x * np.cos(w * x)) / (2.0 * lam0)
@@ -434,7 +440,7 @@ def test_kernel_from_right_constant_forcing():
     lam0 = 11.0
     w = math.sqrt(lam0)
     mesh = PanelMesh("right", 128)
-    f = PanelFn.from_callable(mesh, lambda x: np.ones_like(x))
+    f = PanelFn(mesh, np.ones(mesh.m + 1))
     g = kernel_convolution(lam0, f, "from-right")
     # integral of sin(w*(x-s))/w over s in [x, 1] flips the kernel's sign
     exact = -(1.0 - np.cos(w * (1.0 - mesh.nodes))) / lam0
@@ -459,7 +465,7 @@ def test_kernel_matches_naive_weighted_sum():
 
 def test_kernel_direction_validation():
     mesh = PanelMesh("left", 16)
-    f = PanelFn.zeros(mesh)
+    f = PanelFn(mesh, np.zeros(mesh.m + 1))
     with pytest.raises(QuadratureError):
         kernel_convolution(4.0, f, "upward")
     # nan slipped through a `lambda0 <= 0.0` check into all-NaN pieces
@@ -470,10 +476,8 @@ def test_kernel_direction_validation():
 
 @pytest.mark.parametrize("x", [1.7, -3.0, math.nan, [0.25, 1.0 + 1e-9]])
 def test_grid_function_rejects_points_off_the_interval(x):
-    left = PanelFn.from_callable(PanelMesh("left", 16), lambda s: s)
-    right = PanelFn.from_callable(PanelMesh("right", 16), lambda s: 1.0 - s)
     with pytest.raises(QuadratureError, match=r"\[0, 1\]"):
-        GridFunction(left, right)(x)
+        ramps(16)(x)
 
 
 @given(rows=st.integers(1, 4), half=st.integers(2, 64),

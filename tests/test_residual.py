@@ -4,14 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transeig.fdcore import fd_solve
+from transeig import residual
+from transeig.fdcore import FdSolution, fd_solve
 from transeig.model import (BranchId, NonlinearitySpec, PotentialSpec,
                             TransmissionProblem, load_problem)
 from transeig.quadrature import GridFunction, PanelFn, PanelMesh
 from transeig.residual import (ResidualReport, _finish, count_interior_zeros,
-                               integrated_residual, log_table,
-                               pointwise_residual, residual_by_rank,
-                               residual_report)
+                               log_table, residual_by_rank, residual_report)
 
 EX1 = TransmissionProblem(PotentialSpec.polynomial([0.0, 1.0, 3.0]),
                           NonlinearitySpec.power(2))
@@ -22,22 +21,24 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def grid_from(callable_, m=200):
-    left = PanelFn.from_callable(PanelMesh("left", m), callable_)
-    right = PanelFn.from_callable(PanelMesh("right", m), callable_)
+    left, right = (PanelFn(mesh, callable_(mesh.nodes))
+                   for mesh in (PanelMesh("left", m), PanelMesh("right", m)))
     return GridFunction(left, right)
+
+
+def pointwise(sol):
+    return residual._at_full_rank(sol, residual._pointwise)
+
+
+def integrated(sol):
+    return residual._at_full_rank(sol, residual._integrated)
 
 
 def test_zero_potential_solution_has_tiny_residual():
     problem = TransmissionProblem(PotentialSpec.zero())
     sol = fd_solve(problem, B0, rank=0, mesh=512)
-    for report in (pointwise_residual(sol), integrated_residual(sol)):
+    for report in (pointwise(sol), integrated(sol)):
         assert report.combined < 1e-10
-
-
-def test_pointwise_rejects_singular_potential():
-    sol = fd_solve(EX2, B0, rank=1, mesh=64)
-    with pytest.raises(ValueError, match="integrated_residual"):
-        pointwise_residual(sol)
 
 
 def test_dispatch_picks_the_right_kind():
@@ -50,8 +51,8 @@ def test_dispatch_picks_the_right_kind():
 def test_residual_forms_agree_on_magnitude():
     # both forms measure the same defect, so their logs should be close
     sol = fd_solve(EX1, B0, rank=2, mesh=1024)
-    p = pointwise_residual(sol)
-    i = integrated_residual(sol)
+    p = pointwise(sol)
+    i = integrated(sol)
     assert p.combined > 0 and i.combined > 0
     assert abs(math.log10(p.combined) - math.log10(i.combined)) <= 1.0
 
@@ -60,7 +61,7 @@ def test_rank_zero_integrated_residual_magnitude():
     # frozen check on the singular problem: the rank-0 defect of the lowest
     # branch has sup norm about 0.58 in the once-integrated form
     sol = fd_solve(EX2, B0, rank=0, mesh=2048)
-    rep = integrated_residual(sol)
+    rep = integrated(sol)
     assert rep.combined == pytest.approx(0.58, rel=0.05)
 
 
@@ -147,7 +148,7 @@ def test_log_table_cells_are_the_reports_log_values():
 
 def test_report_fields_consistent():
     sol = fd_solve(EX1, B0, rank=2, mesh=256)
-    rep = pointwise_residual(sol)
+    rep = pointwise(sol)
     assert isinstance(rep, ResidualReport)
     assert rep.rank == 2
     assert rep.combined == max(rep.norm1, rep.norm2)
@@ -163,5 +164,8 @@ def test_one_pass_table_equals_per_rank_reports(name, kind, rank):
     table = residual_by_rank(sol)
     assert len(table) == rank + 1
     for k, row in enumerate(table):
+        rows = (a[:k + 1] for a in (sol.lambdas, sol.c2, sol.u, sol.du))
+        truncated = FdSolution(problem, branch, *rows,
+                               None if sol.rhs is None else sol.rhs[:k])
         assert row.kind == kind
-        assert vars(row) == vars(residual_report(sol.truncate(k)))
+        assert vars(row) == vars(residual_report(truncated))
