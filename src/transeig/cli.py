@@ -21,7 +21,7 @@ from .convergence import branch_point_radius, convergence_report
 from .fdcore import DEFAULT_MESH, fd_solve
 from .model import (BranchId, ModelError, TransmissionProblem, l1_norm,
                     load_problem)
-from .oracle import find_eigenvalue
+from .oracle import MIN_TOL, find_eigenvalue
 from .residual import count_interior_zeros, log_table, residual_by_rank
 
 
@@ -34,6 +34,8 @@ def _check_flags(args: argparse.Namespace) -> None:
     # `not <` also refuses nan, which `tol <= 0.0` lets through
     if not 0.0 < getattr(args, "tol", 1.0) < math.inf:
         raise ModelError("tolerance must be finite and positive")
+    if getattr(args, "tol", 1.0) < MIN_TOL:
+        raise ModelError(f"tolerance must be at least {MIN_TOL:g}")
     if getattr(args, "jobs", 1) < 1:
         raise ModelError("worker count must be at least 1")
 

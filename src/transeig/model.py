@@ -272,8 +272,10 @@ def _potential_from_dict(data: dict) -> PotentialSpec:
     kind = _json(data, dict, "potential record").get("kind")
     if kind == "polynomial":
         _record(data, "potential record", ("kind", "coeffs"))
+        if "coeffs" not in data:
+            raise ModelError("polynomial potential record is missing 'coeffs'")
         return PotentialSpec.polynomial(
-            _json(data.get("coeffs", [0.0]), list, "potential coeffs"))
+            _json(data["coeffs"], list, "potential coeffs"))
     if kind == "inverse_sqrt_half":
         _record(data, "potential record", ("kind",))
         return PotentialSpec.inverse_sqrt_half()

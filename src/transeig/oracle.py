@@ -306,18 +306,25 @@ def _leg(q_coeffs: tuple[float, ...] | None,
     return namespace["leg"]
 
 
+# The finest root tolerance: brentq adds 4 eps of the root to any tol,
+# and that term alone passes 1e-13 for roots above 113.
+MIN_TOL = 1e-13
+
+
 def find_eigenvalue(problem: TransmissionProblem,
                     bracket: tuple[float, float],
                     tol: float = 1e-12) -> float:
-    """Root of the miss function on the bracket, by brentq; misses of one
-    sign at both ends raise ValueError naming the bracket."""
+    """Root of the miss function on the bracket, by brentq with shots at
+    tol. Misses of one sign at both ends raise ValueError naming the
+    bracket; a tol below MIN_TOL raises ValueError too."""
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     _check_tol(tol)
-    shot_tol = max(tol, 1e-13)
+    if tol < MIN_TOL:
+        raise ValueError(f"tolerance must be at least {MIN_TOL:g}, not {tol}")
     try:
-        return _brentq(lambda lam: shoot(problem, lam, tol=shot_tol).miss,
+        return _brentq(lambda lam: shoot(problem, lam, tol=tol).miss,
                        lo, hi, xtol=tol)
     except _NoSignChange:
         raise ValueError(f"the shooting value u(1) does not change sign "

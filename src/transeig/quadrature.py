@@ -281,16 +281,13 @@ def sine_sweep(cosx, sinx, c_part, s_part, w: float, out=None):
     return u, du
 
 
-def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
-                       with_derivative: bool = False):
+def kernel_convolution(lambda0: float, f: PanelFn, direction: str):
     """Convolve the smooth panel field with sin(w*(x - s))/w, w = sqrt(lambda0).
 
     direction "from-left" integrates from the panel start to x; "from-right"
     integrates from x to the panel end. The kernel splits into products of
     cos(w*s) and sin(w*s) with trigonometric factors of x, so the whole
-    sweep costs two running integrals, taken in one quadrature call. With
-    with_derivative the analytic x-derivative of the convolution (cosine
-    kernel) is returned alongside.
+    sweep costs two running integrals, taken in one quadrature call.
     """
     # `not <` also refuses nan, which `lambda0 <= 0.0` lets through
     if not 0.0 < lambda0 < inf:
@@ -303,7 +300,4 @@ def kernel_convolution(lambda0: float, f: PanelFn, direction: str,
     run = cumulative_simpson(f.values * trig, mesh.h)
     if direction == "from-right":
         run = run[:, -1:] - run
-    g, dg = sine_sweep(*trig, *run, w)
-    if with_derivative:
-        return PanelFn(mesh, g), PanelFn(mesh, dg)
-    return PanelFn(mesh, g)
+    return PanelFn(mesh, sine_sweep(*trig, *run, w)[0])

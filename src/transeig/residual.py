@@ -22,14 +22,13 @@ from .quadrature import (GridFunction, PanelMesh, cumulative_simpson,
 
 @dataclass
 class ResidualReport:
-    """Sup norms of the residual per panel plus derived diagnostics."""
+    """Sup norms of the residual on each panel and over both."""
 
     kind: str
     rank: int
     norm1: float
     norm2: float
     combined: float
-    log_value: float
 
 
 @dataclass
@@ -74,12 +73,7 @@ def _finish(kind: str, rank: int, nu: np.ndarray) -> ResidualReport:
     """Report from the residual nu, a panel array, which it overwrites."""
     norms = np.abs(nu, out=nu).max(axis=-1)
     combined = float(norms.max())  # NaN in either panel propagates
-    return ResidualReport(kind, rank, *map(float, norms), combined,
-                          _log(combined))
-
-
-def _log(norm: float) -> float:
-    return -math.inf if norm == 0.0 else math.log(norm)
+    return ResidualReport(kind, rank, *map(float, norms), combined)
 
 
 def _pointwise(sol: FdSolution, t: _Totals) -> ResidualReport:
@@ -109,15 +103,11 @@ def _form(sol: FdSolution):
     return _integrated if sol.problem.potential.is_singular else _pointwise
 
 
-def _at_full_rank(sol: FdSolution, form) -> ResidualReport:
-    for totals in _running_totals(sol):
-        pass
-    return form(sol, totals)
-
-
 def residual_report(sol: FdSolution) -> ResidualReport:
     """Residual in the form appropriate for the potential's regularity."""
-    return _at_full_rank(sol, _form(sol))
+    for totals in _running_totals(sol):
+        pass
+    return _form(sol)(sol, totals)
 
 
 def residual_by_rank(sol: FdSolution) -> list[ResidualReport]:
@@ -130,27 +120,22 @@ def residual_by_rank(sol: FdSolution) -> list[ResidualReport]:
     return [form(sol, t) for t in _running_totals(sol)]
 
 
-def count_interior_zeros(u: GridFunction, tol: float | None = None) -> int:
+def count_interior_zeros(u: GridFunction) -> int:
     """Sign changes of u strictly inside (0, 1).
 
-    Samples near-zero plateaus below tol (default 1e-6 of the sup norm) are
-    ignored so that roundoff around a genuine zero is not double counted.
-    The interface node enters once, through the left panel; continuity
+    Samples of near-zero plateaus below 1e-6 of the sup norm are ignored
+    so that roundoff around a genuine zero is not double counted. The
+    interface node enters once, through the left panel; continuity
     makes the one-sided values agree.
     """
     if not all(np.isfinite(p.values).all() for p in (u.left, u.right)):
         raise ValueError("cannot count the zeros of a function with a "
                          "non-finite sample")
-    # `not <=` also refuses nan, which every sample would fail: 0 zeros
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise ValueError("zero tolerance must be finite and non-negative")
     sup = u.sup_norm
     if sup == 0.0:
         return 0
-    if tol is None:
-        tol = 1e-6 * sup
     samples = np.concatenate([u.left.values[1:], u.right.values[1:-1]])
-    kept = samples[np.abs(samples) >= tol]
+    kept = samples[np.abs(samples) >= 1e-6 * sup]
     if kept.size < 2:
         return 0
     signs = np.sign(kept)
@@ -161,5 +146,6 @@ def log_table(columns) -> np.ndarray:
     """Natural logs of residual norms, given as each branch's norms by
     rank: one row per rank and one column per branch. Only an exact zero
     norm reads -inf; a NaN norm stays NaN."""
-    return np.array([[_log(norm) for norm in column] for column in columns],
+    return np.array([[math.log(norm) if norm else -math.inf
+                      for norm in column] for column in columns],
                     dtype=float).T

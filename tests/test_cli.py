@@ -17,6 +17,8 @@ from transeig.residual import count_interior_zeros
 EX1 = Path(__file__).resolve().parent.parent / "problems" / "example1.json"
 EX2 = Path(__file__).resolve().parent.parent / "problems" / "example2.json"
 SRC = Path(cli.__file__).resolve().parent.parent
+# the free problem's potential record
+FREE = {"kind": "polynomial", "coeffs": [0.0]}
 
 
 def write_free_problem(tmp_path, branch=None):
@@ -304,26 +306,27 @@ def test_missing_problem_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("record", [
     {"potential": 5},
-    {"potential": {"kind": "polynomial"}, "nonlinearity": 5},
-    {"potential": {"kind": "polynomial"}, "branch": "I"},
+    {"potential": FREE, "nonlinearity": 5},
+    {"potential": FREE, "branch": "I"},
     {"potential": {"kind": "polynomial", "coeffs": []}},
     {"potential": {"kind": "polynomial", "coeffs": [math.nan]}},
     {"potential": {"kind": "polynomial", "coeffs": [math.inf]}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE,
      "nonlinearity": {"coeffs_from_degree_1": [math.nan]}},
-    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": 1.5}},
-    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": "2"}},
-    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": True}},
+    {"potential": FREE, "branch": {"family": "II", "n": 1.5}},
+    {"potential": FREE, "branch": {"family": "II", "n": "2"}},
+    {"potential": FREE, "branch": {"family": "II", "n": True}},
     {"potential": {"kind": "polynomial", "coeffs": [0, 1, 3]},
      "nonlinearity": {"coeffs": [0, 1]}},
     {"potential": {"kind": "inverse_sqrt_half", "coeffs": [1.0]}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE,
      "branch": {"family": "II", "n": 1, "sgn": 1}},
-    {"potential": {"kind": "polynomial"}, "nonlinear": {}},
+    {"potential": FREE, "nonlinear": {}},
+    {"potential": {"kind": "polynomial"}},
 ], ids=["potential", "nonlinearity", "branch", "empty-coeffs", "nan-coeff",
         "infinite-coeff", "nan-nonlinearity-coeff", "fractional-n", "string-n",
         "bool-n", "nonlinearity-key", "coeffs-of-the-weight", "branch-key",
-        "top-level-key"])
+        "top-level-key", "missing-coeffs"])
 def test_malformed_problem_file_exits_2(tmp_path, capsys, record):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record))
@@ -363,6 +366,21 @@ def test_out_of_range_flags_exit_2(tmp_path, capsys, flags):
                              "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tol", ["1e-14", "1e-16"])
+def test_a_tol_below_the_oracle_floor_exits_2_before_any_solve(
+        tmp_path, monkeypatch, capsys, tol):
+    def fail(*args):
+        raise AssertionError("solved with a tolerance below the floor")
+
+    monkeypatch.setattr(cli, "fd_solve", fail)
+    code = cli.main(["validate", "--problem", str(EX1), "--tol", tol,
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: tolerance must be at least "
+                                       "1e-13\n")
     assert not (tmp_path / "out").exists()
 
 

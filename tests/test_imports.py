@@ -1,7 +1,8 @@
 """Every imported name is used, every private name of the package is read,
 every public one is read or exported, every public method is read outside
-its own tests or named in the README, and the README names every export
-and every command-line flag.
+its own tests or named in the README, every defaulted parameter of a
+public function or method is passed outside its own tests or shown in the
+README, and the README names every export and every command-line flag.
 
 The first four stand in for a linter's unused-import rule and a dead-code
 check.
@@ -203,6 +204,116 @@ def test_every_public_member_of_the_package_is_read_or_documented():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert sum(len(public_members(s)) for s in sources) > 30
     assert unread_public_members(sources, readers, readme) == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """Defaulted parameters of a source's public functions and of the
+    public methods of its public classes, as (callee, name, position).
+
+    callee is `function` or `Class.method`; position is the parameter's
+    index among a call's positional arguments, None if it is keyword-only.
+    """
+    found = []
+
+    def add(callee: str, node: ast.FunctionDef, skip: int) -> None:
+        args = node.args
+        positional = [*args.posonlyargs, *args.args][skip:]
+        first = len(positional) - len(args.defaults)
+        found.extend((callee, a.arg, first + i)
+                     for i, a in enumerate(positional[first:]))
+        found.extend((callee, a.arg, None) for a, default
+                     in zip(args.kwonlyargs, args.kw_defaults)
+                     if default is not None)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and is_public(node):
+            add(node.name, node, 0)
+        elif isinstance(node, ast.ClassDef) and is_public(node):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and is_public(m):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in m.decorator_list)
+                    add(f"{node.name}.{m.name}", m, 0 if static else 1)
+    return found
+
+
+def is_public(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    """Whether a def or class has a name that is neither private nor
+    dunder."""
+    return not node.name.startswith("_")
+
+
+def calls(source: str) -> list[tuple[str, ast.Call]]:
+    """The calls of a source, as (callee's last name, call); none if the
+    source does not parse."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return []
+    return [(getattr(n.func, "id", getattr(n.func, "attr", None)), n)
+            for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether a call may pass the parameter: by keyword, by position, or
+    through a * or ** argument."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def shows(call: ast.Call, name: str) -> bool:
+    """Whether a call names the parameter, as a keyword or as a positional
+    argument spelled like it."""
+    return (any(k.arg == name for k in call.keywords)
+            or any(getattr(a, "id", None) == name for a in call.args))
+
+
+def orphan_parameters(sources: list[str], readers: list[str],
+                      readme: str) -> list[str]:
+    """Defaulted parameters, as `callee(name)`, that no call in the readers
+    passes and no call in a backtick span of the readme shows. Callees are
+    matched by their last name alone, as in read_names."""
+    passed = [c for reader in readers for c in calls(reader)]
+    shown = [c for span in re.findall(r"`([^`]*)`", readme)
+             for c in calls(span)]
+
+    def used(callee: str, name: str, position: int | None) -> bool:
+        last = callee.split(".")[-1]
+        return (any(c == last and passes(call, name, position)
+                    for c, call in passed)
+                or any(c == last and shows(call, name) for c, call in shown))
+
+    return [f"{callee}({name})" for source in sources
+            for callee, name, position in defaulted_parameters(source)
+            if not used(callee, name, position)]
+
+
+def test_parameter_checker_flags_only_orphan_parameters():
+    source = ("def solve(x, tol=1e-6, *, verbose=False, depth=3):\n"
+              "    pass\n"
+              "def _hidden(x, flag=False):\n    pass\n"
+              "class Toy:\n"
+              "    def __init__(self, size=2):\n        pass\n"
+              "    def run(self, n, scale=1.0, shift=0.0):\n        pass\n"
+              "    def _step(self, h=0.1):\n        pass\n"
+              "    @staticmethod\n"
+              "    def build(kind, extra=None):\n        return Toy()\n"
+              "class _Private:\n"
+              "    def go(self, fast=True):\n        pass\n")
+    readers = [source, "solve(1.0, 1e-9)\nToy.build('a').run(3, shift=1.0)\n"]
+    readme = ("Call `solve(x, depth=4)` or `Toy.run(n, scale)`; "
+              "`Toy.build(kind, 1)` passes a value, not `extra`.")
+    assert orphan_parameters([source], readers, readme) == [
+        "solve(verbose)", "Toy.build(extra)"]
+
+
+def test_every_defaulted_parameter_is_passed_or_shown():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    readers = [path.read_text(encoding="utf-8") for path in READERS]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert sum(len(defaulted_parameters(s)) for s in sources) > 5
+    assert orphan_parameters(sources, readers, readme) == []
 
 
 def test_readme_names_every_export():

@@ -11,6 +11,9 @@ from transeig.model import (BranchId, ModelError, NonlinearitySpec,
                             PotentialSpec, TransmissionProblem, horner,
                             l1_norm, load_problem)
 
+# the free problem's potential record
+FREE = {"kind": "polynomial", "coeffs": [0.0]}
+
 
 def test_zero_potential_norm():
     q = PotentialSpec.zero()
@@ -208,8 +211,7 @@ def test_load_problem_round_trip(tmp_path):
 def test_load_problem_keeps_a_sign_that_is_not_lost(tmp_path, record, tag):
     # at n = 0 both family I signs are one branch, so -1 is no loss
     path = tmp_path / "prob.json"
-    path.write_text(json.dumps({"potential": {"kind": "polynomial"},
-                                "branch": record}))
+    path.write_text(json.dumps({"potential": FREE, "branch": record}))
     assert load_problem(path)[1].tag == tag
 
 
@@ -236,41 +238,42 @@ def test_load_problem_bad_kind(tmp_path):
 
 @pytest.mark.parametrize("record", [
     {"potential": 5},
-    {"potential": {"kind": "polynomial"}, "nonlinearity": 5},
-    {"potential": {"kind": "polynomial"}, "branch": "I"},
+    {"potential": FREE, "nonlinearity": 5},
+    {"potential": FREE, "branch": "I"},
     {"potential": {"kind": "polynomial", "coeffs": []}},
     {"potential": {"kind": "polynomial", "coeffs": 5}},
     {"potential": {"kind": "polynomial", "coeffs": [None]}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE,
      "nonlinearity": {"coeffs_from_degree_1": 2.0}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE,
      "nonlinearity": {"coeffs_from_degree_1": ["u"]}},
-    {"potential": {"kind": "polynomial"}, "branch": {"family": "I", "n": None}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE, "branch": {"family": "I", "n": None}},
+    {"potential": FREE,
      "branch": {"family": "I", "n": 0, "sign": "-"}},
-    [{"potential": {"kind": "polynomial"}}],
+    [{"potential": FREE}],
     5,
     {"potential": {"kind": "polynomial", "coeffs": [math.nan]}},
     {"potential": {"kind": "polynomial", "coeffs": [math.inf]}},
     {"potential": {"kind": "polynomial", "coeffs": [10 ** 400]}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE,
      "nonlinearity": {"coeffs_from_degree_1": [0.0, -math.inf]}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE,
      "branch": {"family": "II", "n": 1.5}},
-    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": "2"}},
-    {"potential": {"kind": "polynomial"}, "branch": {"family": "II", "n": True}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE, "branch": {"family": "II", "n": "2"}},
+    {"potential": FREE, "branch": {"family": "II", "n": True}},
+    {"potential": FREE,
      "branch": {"family": "I", "n": 1, "sign": -1.0}},
     {"potential": {"kind": "polynomial", "coeffs": [0, 1, 3]},
      "nonlinearity": {"coeffs": [0, 1]}},
     {"potential": {"kind": "polynomial", "coefs": [0, 1, 3]}},
     {"potential": {"kind": "inverse_sqrt_half", "coeffs": [1.0]}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE,
      "branch": {"family": "II", "n": 1, "sgn": 1}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE,
      "nonlinear": {"coeffs_from_degree_1": [0.0, 1.0]}},
-    {"potential": {"kind": "polynomial"},
+    {"potential": FREE,
      "branch": {"family": "II", "n": 2, "sign": -1}},
+    {"potential": {"kind": "polynomial"}},
 ], ids=["potential", "nonlinearity", "branch", "empty-coeffs",
         "scalar-coeffs", "null-coeff", "scalar-nonlinearity-coeffs",
         "string-nonlinearity-coeff", "null-n", "string-sign", "list",
@@ -278,7 +281,7 @@ def test_load_problem_bad_kind(tmp_path):
         "infinite-nonlinearity-coeff", "fractional-n", "string-n", "bool-n",
         "float-sign", "nonlinearity-key", "potential-key",
         "coeffs-of-the-weight", "branch-key", "top-level-key",
-        "family-two-sign"])
+        "family-two-sign", "missing-coeffs"])
 def test_load_problem_rejects_malformed_records(tmp_path, record):
     path = tmp_path / "prob.json"
     path.write_text(json.dumps(record))

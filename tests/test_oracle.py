@@ -694,6 +694,29 @@ def test_a_tol_outside_zero_to_inf_is_refused(tol):
         find_eigenvalue(FREE, (15.0, 20.0), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [1e-14, 1e-16, 5e-324])
+def test_a_root_tol_below_the_floor_is_refused(monkeypatch, tol):
+    def fail(*args, **kwargs):
+        raise AssertionError("shot below the tolerance floor")
+
+    monkeypatch.setattr(oracle, "shoot", fail)
+    with pytest.raises(ValueError, match="at least 1e-13"):
+        find_eigenvalue(FREE, (15.0, 20.0), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-10])
+def test_find_eigenvalue_shoots_at_its_own_tol(monkeypatch, tol):
+    real, tols = oracle.shoot, set()
+
+    def recorded(problem, lam, tol):
+        tols.add(tol)
+        return real(problem, lam, tol)
+
+    monkeypatch.setattr(oracle, "shoot", recorded)
+    find_eigenvalue(FREE, (15.0, 20.0), tol=tol)
+    assert tols == {tol}
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
 def test_a_lambda_that_is_not_finite_is_refused(lam):
     # refused before the integrator, which would blame its step size
